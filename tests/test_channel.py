@@ -1,0 +1,136 @@
+"""Channel boundaries: same-instant end/start, half duplex, dead receivers, error draws."""
+
+import pytest
+
+from hcccsim.engine import RandomStream
+from hcccsim.mac import CTS, ACK, Frame
+from hcccsim.simulation import Simulation
+
+from conftest import (hidden_terminal_topology, make_topology, small_cfg,
+                      two_node_topology)
+
+
+def star_topology():
+    """Sink 0 with senders 1, 2 and 3, all mutually in range."""
+    return make_topology([(0.0, 0.0), (10.0, 0.0), (-10.0, 0.0), (0.0, 10.0)],
+                         ["sink", "source", "source", "source"])
+
+
+def send_at(sim, t, src, dst, kind=CTS):
+    """Queue a transmission of a bare control frame; CTS/ACK frames that
+    match no pending exchange have no effect at their destination."""
+    frame = Frame(kind, src, dst, sim.cfg.control_size)
+    sim.engine.schedule(t, sim._start_tx, sim.nodes[src], frame)
+
+
+def outcomes(sim):
+    """(end time, sender, destination outcome) for every finished frame."""
+    return [(row[0], row[1], row[4]) for row in sim.mac_trace
+            if row[4] != "tx_start"]
+
+
+def run_star(starts, **cfg_overrides):
+    cfg = small_cfg(node_count=4, source_count=3, trace_mac=True, **cfg_overrides)
+    sim = Simulation(cfg, topology=star_topology())
+    for t, src in starts:
+        send_at(sim, t, src, 0)
+    sim.engine.run_until(10_000)
+    return sim
+
+
+def test_reception_ending_as_another_starts_both_clean():
+    # Node 2's start is queued first, so at t=160 it is processed before the
+    # end of node 1's frame: the receiver holds one frame that has ended
+    # and one that has just begun.  Neither overlaps the other.
+    sim = run_star([(160, 2), (0, 1)])
+    assert outcomes(sim) == [(160, 1, "ok"), (320, 2, "ok")]
+
+
+def test_third_start_at_the_boundary_collides_only_with_the_second():
+    sim = run_star([(160, 2), (160, 3), (0, 1)])
+    assert outcomes(sim) == [(160, 1, "ok"), (320, 2, "collided"),
+                             (320, 3, "collided")]
+
+
+def test_one_microsecond_overlap_collides():
+    sim = run_star([(159, 2), (0, 1)])
+    assert outcomes(sim) == [(160, 1, "collided"), (319, 2, "collided")]
+
+
+@pytest.mark.parametrize("kind", [CTS, ACK])
+def test_receiver_transmitting_mid_reception_keeps_it(kind):
+    # Half duplex is checked when a reception starts only: a receiver that
+    # begins its own response mid-frame still decodes the frame.  Node 2
+    # does not hear node 1.
+    cfg = small_cfg(trace_mac=True)
+    sim = Simulation(cfg, topology=hidden_terminal_topology())
+    send_at(sim, 0, 1, 0)
+    send_at(sim, 80, 0, 2, kind)
+    sim.engine.run_until(10_000)
+    assert outcomes(sim) == [(160, 1, "ok"), (240, 0, "ok")]
+
+
+def test_reception_starting_while_receiver_transmits_is_lost():
+    cfg = small_cfg(trace_mac=True)
+    sim = Simulation(cfg, topology=hidden_terminal_topology())
+    send_at(sim, 0, 0, 2)
+    send_at(sim, 80, 1, 0)
+    sim.engine.run_until(10_000)
+    assert outcomes(sim) == [(160, 0, "ok"), (240, 1, "collided")]
+
+
+def test_destination_dead_at_start_versus_dying_mid_frame():
+    # One control frame exhausts either node.  Node 1 dies as its frame to
+    # node 0 starts; node 0 hears that start, then dies starting its own
+    # frame at t=80, so node 1's frame ends at a dead receiver and node 0's
+    # frame never had one.
+    cfg = small_cfg(node_count=2, source_count=1, trace_mac=True,
+                    energy_initial=5e-5, energy_control=1e-4)
+    sim = Simulation(cfg, topology=two_node_topology())
+    send_at(sim, 0, 1, 0)
+    send_at(sim, 80, 0, 1)
+    sim.engine.run_until(10_000)
+    assert [n.death_time for n in sim.nodes] == [80, 0]
+    assert outcomes(sim) == [(160, 1, "dead_receiver"), (240, 0, "no_receiver")]
+
+
+def test_destination_dead_before_the_frame():
+    cfg = small_cfg(node_count=2, source_count=1, trace_mac=True)
+    sim = Simulation(cfg, topology=two_node_topology())
+    sim.nodes[0].alive = False
+    send_at(sim, 0, 1, 0)
+    sim.engine.run_until(10_000)
+    assert outcomes(sim) == [(160, 1, "no_receiver")]
+
+
+def two_hop_topology():
+    """Relay 1 forwards for source 2; source 3 hears every other node."""
+    return make_topology([(0.0, 0.0), (20.0, 0.0), (40.0, 0.0), (20.0, 20.0)],
+                         ["sink", "relay", "source", "source"])
+
+
+# Draws per stream (0 is topology, node i is stream i + 1) on the fixture
+# below.  Every clean receiver of a frame takes one frame-error draw, the
+# destination or not, so these counts pin the per-node streams.
+LOSSY_DRAWS = {
+    "none": {1: 493, 2: 1139, 3: 1026, 4: 1324},
+    "hccc": {1: 346, 2: 700, 3: 542, 4: 855},
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(LOSSY_DRAWS))
+def test_frame_error_draws_per_stream(scheme, monkeypatch):
+    draws = {}
+    next_u64 = RandomStream.next_u64
+
+    def counted(stream):
+        draws[stream.stream_id] = draws.get(stream.stream_id, 0) + 1
+        return next_u64(stream)
+
+    monkeypatch.setattr(RandomStream, "next_u64", counted)
+    cfg = small_cfg(node_count=4, source_count=2, scheme=scheme,
+                    offered_load=20.0, duration=5.0, access_jitter_us=1000,
+                    frame_error_rate=0.2)
+    result = Simulation(cfg, topology=two_hop_topology()).run()
+    assert result.delivered > 0
+    assert draws == LOSSY_DRAWS[scheme]

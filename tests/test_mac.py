@@ -2,7 +2,7 @@
 
 from hcccsim.engine import RandomStream
 from hcccsim.mac import (MacTiming, airtime_us, draw_backoff, effective_window,
-                         frame_error_probability, CTS)
+                         frame_error_probability, CTS, Frame)
 from hcccsim.simulation import Simulation
 
 from conftest import (contention_topology, hidden_terminal_topology,
@@ -139,10 +139,10 @@ def test_dead_receiver_gives_cts_timeouts():
 
 
 def test_carrier_sense_boundary():
-    cfg = small_cfg()
+    # 20-byte control frames at 16 Mbps: node 0 is on air over [0, 10) us
+    cfg = small_cfg(bit_rate=16_000_000.0)
     sim = Simulation(cfg, topology=two_node_topology())
-    node = sim.nodes[1]
-    node.rx_list.append([None, 0, 10, True])
+    sim._start_tx(sim.nodes[0], Frame(CTS, 0, 1, cfg.control_size))
     sim.engine.now = 5
     assert sim.carrier_busy(1)
     sim.engine.now = 10   # transmission finished this very microsecond
