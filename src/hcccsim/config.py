@@ -8,6 +8,8 @@ Unknown keys are errors, not warnings, and every field is range checked.
 
 from dataclasses import dataclass, fields
 
+from .mac import airtime_us
+
 
 class ConfigError(Exception):
     pass
@@ -124,6 +126,9 @@ def validate(cfg):
     check(cfg.bit_rate > 0, "bit_rate", "must be positive")
     check(cfg.packet_size >= 1, "packet_size", "must be >= 1")
     check(cfg.control_size >= 1, "control_size", "must be >= 1")
+    # The per-receiver channel state assumes every frame lasts at least 1 us.
+    check(airtime_us(min(cfg.control_size, cfg.packet_size), cfg.bit_rate) >= 1,
+          "bit_rate", "must give every frame at least 1 us of airtime")
     check(cfg.slot_us > 0, "slot_us", "must be positive")
     check(cfg.sifs_us > 0, "sifs_us", "must be positive")
     check(cfg.difs_us > 0, "difs_us", "must be positive")

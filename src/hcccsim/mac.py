@@ -12,7 +12,8 @@ ACK = "ACK"
 
 
 class Frame:
-    __slots__ = ("kind", "src", "dst", "size", "feedback", "data_id", "packet")
+    __slots__ = ("kind", "src", "dst", "size", "feedback", "data_id", "packet",
+                 "heard")
 
     def __init__(self, kind, src, dst, size, feedback=None, data_id=None, packet=None):
         self.kind = kind
@@ -22,6 +23,7 @@ class Frame:
         self.feedback = feedback  # only RTS carries feedback
         self.data_id = data_id
         self.packet = packet
+        self.heard = False  # destination alive when the transmission started
 
 
 def airtime_us(size_bytes, bit_rate):

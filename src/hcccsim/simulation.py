@@ -8,6 +8,18 @@ A transmission that starts at the current instant is not carrier-sensed
 (detection takes nonzero time), which is what makes simultaneous
 equal-backoff transmissions collide.
 
+Each receiver keeps its reception state in O(1) fields rather than a list
+of receptions: ``busy_until`` (end of the latest reception), ``busy_since``
+(start of the current busy period, so a reception starting this instant is
+not sensed), ``rx_frame`` (the one reception still clean, if any) and
+``rx_prev`` (a clean reception that ended at the instant the current busy
+period began, whose end event may still be queued).  A reception that starts
+while ``busy_until`` lies ahead overlaps one in progress, and both are lost.
+When a frame ends only its destination acts on it, plus, for an RTS carrying
+HCCC feedback, the sender's children; with a frame error rate above zero
+every clean receiver still takes its error draw, so the per-node random
+streams do not depend on who a frame is for.
+
 Channel access works without per-slot polling: a node counts its backoff down
 in one scheduled wake-up and is frozen by any transmission it hears, resuming
 one DIFS (plus a small desynchronisation jitter) after the medium clears.
@@ -43,7 +55,8 @@ class Node:
         "phase", "counting", "remaining", "count_since", "wake_time",
         "epoch", "retries", "access_pending", "access_started_at",
         "next_access_time",
-        "tx_end", "busy_until", "rx_list", "responding_until",
+        "children", "tx_end", "busy_until", "busy_since", "rx_frame", "rx_prev",
+        "responding_until",
         "pending_feedback", "relay_fb", "last_accepted", "gen_seq",
         "delivered_fwd", "access_delay_sum", "access_delay_n",
         "data_attempts", "admitted", "removed",
@@ -55,6 +68,7 @@ class Node:
         self.x = spec.x
         self.y = spec.y
         self.neighbors = []
+        self.children = []
         self.next_hop = None
         self.hop_count = None
         self.stream = stream
@@ -76,7 +90,9 @@ class Node:
         self.next_access_time = 0
         self.tx_end = 0
         self.busy_until = 0
-        self.rx_list = []
+        self.busy_since = 0
+        self.rx_frame = None
+        self.rx_prev = None
         self.responding_until = 0
         self.pending_feedback = None
         self.relay_fb = None
@@ -156,7 +172,9 @@ class Simulation:
         for node in nodes:
             node.neighbors = [nodes[j] for j in self.topology.adjacency[node.id]]
             nh = self.topology.next_hop[node.id]
-            node.next_hop = nodes[nh] if nh is not None else None
+            if nh is not None:
+                node.next_hop = nodes[nh]
+                node.next_hop.children.append(node)
             node.hop_count = self.topology.hop_count[node.id]
         self.nodes = nodes
         self.sink = nodes[0]
@@ -215,12 +233,8 @@ class Simulation:
         return node.stream.uniform_int(0, jmax - 1)
 
     def _sensed_busy(self, node, now):
-        if node.tx_end > now:
-            return True
-        for r in node.rx_list:
-            if r[1] < now < r[2]:
-                return True
-        return False
+        return node.tx_end > now or (node.busy_until > now
+                                     and node.busy_since < now)
 
     def _start_tx(self, node, frame):
         now = self.engine.now
@@ -240,21 +254,24 @@ class Simulation:
                 node.alive = False
                 node.death_time = now
         node.tx_end = end
+        frame.heard = self.nodes[frame.dst].alive
         if node.phase == BACKOFF and node.counting and node.wake_time > now:
             self._freeze(node, now)
         for n in node.neighbors:
             if not n.alive:
                 continue
-            rx = [frame, now, end, True]
-            if n.tx_end > now:
-                rx[3] = False
-            for other in n.rx_list:
-                if other[2] > now:
-                    other[3] = False
-                    rx[3] = False
-            n.rx_list.append(rx)
-            if end > n.busy_until:
+            if n.busy_until > now:
+                # Overlaps a reception in progress: both are lost.
+                n.rx_frame = None
+                if end > n.busy_until:
+                    n.busy_until = end
+            else:
+                # A new busy period.  A frame that ended at this instant
+                # may still await its _tx_end; it stays clean as rx_prev.
+                n.busy_since = now
                 n.busy_until = end
+                n.rx_prev = n.rx_frame
+                n.rx_frame = frame if n.tx_end <= now else None
             if n.phase == BACKOFF and n.counting and n.wake_time > now:
                 self._freeze(n, now)
         if self.cfg.trace_mac:
@@ -262,27 +279,46 @@ class Simulation:
         self.engine.schedule(end, self._tx_end, node, frame)
 
     def _tx_end(self, node, frame):
-        timing = self.timing
-        fer = timing.error_rate(frame.kind)
-        dst_outcome = "no_receiver"
-        for n in node.neighbors:
-            lst = n.rx_list
-            for i, entry in enumerate(lst):
-                if entry[0] is frame:
-                    del lst[i]
-                    if entry[3] and n.alive:
-                        if fer == 0.0 or n.stream.random() >= fer:
-                            if n.id == frame.dst:
-                                dst_outcome = "ok"
-                            self._on_frame(n, frame)
-                        elif n.id == frame.dst:
-                            dst_outcome = "corrupted"
-                    elif n.id == frame.dst:
-                        dst_outcome = "collided" if n.alive else "dead_receiver"
-                    break
+        dst = self.nodes[frame.dst]
+        fb = frame.feedback
+        fer = self.timing.error_rate(frame.kind)
+        received = corrupted = False
+        if fer == 0.0:
+            # Only the destination acts on a frame, and the sender's children
+            # on the feedback an RTS carries.
+            received = dst.alive and (dst.rx_frame is frame
+                                      or dst.rx_prev is frame)
+            if fb is not None:
+                for n in node.children:
+                    if n.alive and (n.rx_frame is frame or n.rx_prev is frame):
+                        n.pending_feedback = fb
+        else:
+            # Every clean receiver takes its frame-error draw, so each node's
+            # stream advances the same whoever the frame is for.
+            for n in node.neighbors:
+                if n.alive and (n.rx_frame is frame or n.rx_prev is frame):
+                    if n.stream.random() < fer:
+                        if n is dst:
+                            corrupted = True
+                    elif n is dst:
+                        received = True
+                    elif fb is not None and n.next_hop is node:
+                        n.pending_feedback = fb
+        if received:
+            self._on_frame(dst, frame)
         if self.cfg.trace_mac:
+            if received:
+                outcome = "ok"
+            elif corrupted:
+                outcome = "corrupted"
+            elif not frame.heard:
+                outcome = "no_receiver"
+            elif not dst.alive:
+                outcome = "dead_receiver"
+            else:
+                outcome = "collided"
             self.mac_trace.append((self.engine.now, node.id, frame.kind,
-                                   frame.dst, dst_outcome))
+                                   frame.dst, outcome))
 
     # ---- backoff --------------------------------------------------------
 
@@ -290,12 +326,16 @@ class Simulation:
         node.epoch += 1
         self.engine.schedule(at, self._backoff_wake, node, node.epoch)
 
+    def _wake_after_busy(self, node):
+        """Resume one DIFS (plus jitter) after the medium clears."""
+        self._schedule_wake(node, max(node.busy_until, node.tx_end)
+                            + self.timing.difs + self._jitter(node))
+
     def _freeze(self, node, now):
         slot = self.timing.slot
         node.remaining -= (now - node.count_since) // slot
         node.counting = False
-        wake = max(node.busy_until, node.tx_end) + self.timing.difs + self._jitter(node)
-        self._schedule_wake(node, wake)
+        self._wake_after_busy(node)
 
     def _backoff_wake(self, node, epoch):
         if epoch != node.epoch or not node.alive or node.phase != BACKOFF:
@@ -305,8 +345,7 @@ class Simulation:
             node.counting = False
             node.remaining = 0
         if self._sensed_busy(node, now):
-            wake = max(node.busy_until, node.tx_end) + self.timing.difs + self._jitter(node)
-            self._schedule_wake(node, wake)
+            self._wake_after_busy(node)
             return
         if now < node.responding_until:
             self._schedule_wake(node, node.responding_until + self.timing.difs
@@ -317,12 +356,9 @@ class Simulation:
             return
         # A transmission starting at this exact instant is not sensed, but the
         # medium is occupied for the rest of the countdown; defer instead.
-        for r in node.rx_list:
-            if r[2] > now:
-                wake = max(node.busy_until, node.tx_end) + self.timing.difs \
-                    + self._jitter(node)
-                self._schedule_wake(node, wake)
-                return
+        if node.busy_until > now:
+            self._wake_after_busy(node)
+            return
         node.counting = True
         node.count_since = now
         node.wake_time = now + node.remaining * self.timing.slot
@@ -480,42 +516,37 @@ class Simulation:
     # ---- reception ------------------------------------------------------
 
     def _on_frame(self, node, frame):
+        """Act on a frame that reached its live destination intact."""
         now = self.engine.now
         kind = frame.kind
         if kind == RTS:
-            fb = frame.feedback
-            if (fb is not None and self.is_hccc and node.next_hop is not None
-                    and frame.src == node.next_hop.id):
-                node.pending_feedback = fb
-            if (frame.dst == node.id and node.alive and node.tx_end <= now
-                    and now >= node.responding_until
+            if (node.tx_end <= now and now >= node.responding_until
                     and node.phase in (IDLE, BACKOFF)):
                 t = self.timing
                 node.responding_until = (now + 3 * t.sifs + 2 * t.ctrl_air
                                          + t.data_air)
                 self.engine.schedule(now + t.sifs, self._tx_cts, node, frame)
         elif kind == CTS:
-            if (frame.dst == node.id and node.phase == AWAIT_CTS
-                    and node.cc.buffer and frame.data_id == node.cc.buffer[0].id):
+            if (node.phase == AWAIT_CTS and node.cc.buffer
+                    and frame.data_id == node.cc.buffer[0].id):
                 node.epoch += 1
                 node.phase = SENDING
                 self.engine.schedule(now + self.timing.sifs, self._tx_data, node)
         elif kind == DATA:
-            if frame.dst == node.id and node.alive:
-                self.engine.schedule(now + self.timing.sifs, self._tx_ack,
-                                     node, frame)
-                if node.last_accepted.get(frame.src) == frame.data_id:
-                    return
-                node.last_accepted[frame.src] = frame.data_id
-                pkt = frame.packet
-                pkt.hops += 1
-                if node.id == 0:
-                    self._deliver_at_sink(pkt, now)
-                else:
-                    self._admit(node, pkt)
+            self.engine.schedule(now + self.timing.sifs, self._tx_ack,
+                                 node, frame)
+            if node.last_accepted.get(frame.src) == frame.data_id:
+                return
+            node.last_accepted[frame.src] = frame.data_id
+            pkt = frame.packet
+            pkt.hops += 1
+            if node.id == 0:
+                self._deliver_at_sink(pkt, now)
+            else:
+                self._admit(node, pkt)
         elif kind == ACK:
-            if (frame.dst == node.id and node.phase == AWAIT_ACK
-                    and node.cc.buffer and frame.data_id == node.cc.buffer[0].id):
+            if (node.phase == AWAIT_ACK and node.cc.buffer
+                    and frame.data_id == node.cc.buffer[0].id):
                 node.epoch += 1
                 self._complete_send(node)
 

@@ -91,6 +91,7 @@ def test_validate_range_errors_name_fields():
         (dict(frame_error_rate=1.0), "frame_error_rate"),
         (dict(buffer_capacity=0), "buffer_capacity"),
         (dict(energy_initial=0.0), "energy_initial"),
+        (dict(bit_rate=400e6), "bit_rate"),
     ]
     for overrides, name in bad:
         with pytest.raises(ConfigError) as err:
