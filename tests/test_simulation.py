@@ -3,11 +3,14 @@
 from dataclasses import replace
 
 from hcccsim.config import ScenarioConfig, validate
+from hcccsim.congestion import (FeedbackInfo, ORIGIN_LOCAL, ORIGIN_NONE,
+                                ORIGIN_RELAYED)
+from hcccsim.mac import RTS
 from hcccsim.metrics import build_report, summary_row
-from hcccsim.simulation import run_scenario
+from hcccsim.simulation import Simulation, run_scenario
 from hcccsim.traffic import DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED, IN_FLIGHT
 
-from conftest import small_cfg, two_node_topology
+from conftest import inject_packet, make_topology, small_cfg, two_node_topology
 
 
 def mid_cfg(**overrides):
@@ -163,6 +166,57 @@ def test_malformed_feedback_is_counted_not_fatal():
     assert sim.malformed_feedback == 1
     assert source.pending_feedback is None
     assert source.w == w_before          # bad signal ignored, not applied
+
+
+def relay_chain():
+    """Chain sink 0 <- 1 <- 2 <- 3, 25 m apart: each node hears only its neighbours."""
+    cfg = small_cfg(node_count=4, source_count=3, scheme="hccc", trace_mac=True)
+    topo = make_topology([(0.0, 0.0), (25.0, 0.0), (50.0, 0.0), (75.0, 0.0)],
+                         ["sink", "relay", "relay", "source"])
+    return Simulation(cfg, topology=topo)
+
+
+def send_one_via_node_2(sim, incoming):
+    """Hand node 2 a downstream signal and one packet; run until it is forwarded."""
+    relay, upstream = sim.nodes[2], sim.nodes[3]
+    upstream.pending_feedback = None
+    relay.pending_feedback = incoming
+    inject_packet(sim, relay)
+    sim.engine.run_until(sim.engine.now + 500_000)
+    assert relay.delivered_fwd == 1
+    rts = [row for row in sim.mac_trace
+           if row[1] == 2 and row[2] == RTS and row[4] == "tx_start"]
+    assert len(rts) == 1
+    sim.mac_trace.clear()
+    relay.delivered_fwd = 0
+    return upstream.pending_feedback
+
+
+def test_congested_downstream_signal_is_relayed_once():
+    sim = relay_chain()
+    relay = sim.nodes[2]
+    relay.cc.last_feedback_origin = ORIGIN_LOCAL
+    first = FeedbackInfo(0.9, True, 1)
+    assert send_one_via_node_2(sim, first) is first
+    assert relay.cc.last_feedback_origin == ORIGIN_RELAYED
+    # A second congested signal is suppressed: node 3 hears node 2's own state.
+    second = FeedbackInfo(0.9, True, 1)
+    heard = send_one_via_node_2(sim, second)
+    assert heard is not second
+    assert (heard.origin, heard.congested) == (2, False)
+    assert heard.b_r == 1 / sim.cfg.buffer_capacity
+    assert relay.cc.last_feedback_origin == ORIGIN_RELAYED
+
+
+def test_node_without_own_signal_does_not_relay():
+    sim = relay_chain()
+    relay = sim.nodes[2]
+    assert relay.cc.last_feedback_origin == ORIGIN_NONE
+    incoming = FeedbackInfo(0.9, True, 1)
+    heard = send_one_via_node_2(sim, incoming)
+    assert heard is not incoming
+    assert (heard.origin, heard.congested) == (2, False)
+    assert relay.cc.last_feedback_origin == ORIGIN_NONE
 
 
 def test_schemes_differ_under_load():
