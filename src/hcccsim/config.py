@@ -59,7 +59,6 @@ class ScenarioConfig:
     energy_control: float = 0.0      # joules per control frame
     # [metrics]
     window: float = 10.0             # seconds per metrics window
-    printed_fairness: bool = False   # use the non-squared fairness numerator
     # [trace]
     trace_mac: bool = False
     trace_hccc: bool = False
@@ -75,7 +74,7 @@ _SECTIONS = {
     "control": ["p", "b_max", "w_min", "w_max", "r_min", "r_cap", "legacy_ewma",
                 "aimd_alpha"],
     "energy": ["energy_initial", "energy_per_packet", "energy_control"],
-    "metrics": ["window", "printed_fairness"],
+    "metrics": ["window"],
     "trace": ["trace_mac", "trace_hccc", "trace_packets"],
 }
 

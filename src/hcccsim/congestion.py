@@ -1,9 +1,13 @@
 """Per-node hop-by-hop congestion control state and transition rules.
 
-The four building blocks are kept side-effect free so they can be tested
-against table-driven fixtures: inter-arrival / service-time averaging,
-congestion classification, the four-case window/rate adjustment applied when
-downstream buffer feedback arrives, and the relay-suppression rule.
+The building blocks are inter-arrival / service-time averaging with drop-tail
+admission, congestion classification, the four-case window/rate adjustment
+applied when downstream buffer feedback arrives, and feedback construction
+with relay suppression.  ``detect``, ``feedback_update``, ``process_feedback``
+and ``should_relay`` are pure and tested against table-driven fixtures; the
+others update the ``CongestionState`` they are given.  Every function reads
+its parameters (p, b_max, w_min, w_max, r_min, r_cap, legacy_ewma) from the
+same-named fields of a ``ScenarioConfig``.
 
 The averaging formulas are implemented in two modes.  ``legacy_ewma=True``
 (default) keeps them exactly as the scheme defines them: the inter-arrival
@@ -35,17 +39,6 @@ ORIGIN_RELAYED = "relayed"
 
 
 @dataclass
-class HcccParams:
-    p: float = 0.3
-    b_max: float = 0.4
-    w_min: int = 1
-    w_max: int = 63
-    r_min: float = 0.1
-    r_cap: float = 200.0
-    legacy_ewma: bool = True
-
-
-@dataclass
 class FeedbackInfo:
     """Buffer state piggybacked on an RTS frame."""
     b_r: float
@@ -59,12 +52,13 @@ class CongestionState:
     T_a and T_s are seeded with the nominal service time of a single data
     frame so the congestion degree is well defined before traffic has been
     observed; the first classification is deferred until both averages have
-    been updated at least once.
+    been updated at least once.  ``relay`` holds a downstream signal waiting
+    to be relayed on the node's next RTS.
     """
 
     __slots__ = (
         "T_a", "T_s", "last_arrival", "last_departure", "C_d",
-        "buffer", "capacity", "R", "R_max", "last_feedback_origin",
+        "buffer", "capacity", "R", "R_max", "last_feedback_origin", "relay",
         "congested_flag", "arrivals_updated", "departures_updated",
     )
 
@@ -79,6 +73,7 @@ class CongestionState:
         self.R = r_init
         self.R_max = r_init
         self.last_feedback_origin = ORIGIN_NONE
+        self.relay = None
         self.congested_flag = False
         self.arrivals_updated = False
         self.departures_updated = False
@@ -91,8 +86,15 @@ class CongestionState:
     def ready(self):
         return self.arrivals_updated and self.departures_updated
 
+    def admit(self, item):
+        """Drop-tail admission: append item unless the buffer is full; True if admitted."""
+        if len(self.buffer) >= self.capacity:
+            return False
+        self.buffer.append(item)
+        return True
 
-def on_packet_arrival(state, t, params, item):
+
+def on_packet_arrival(state, t, cfg, item):
     """Register a packet arrival at time t; returns True if admitted to the buffer.
 
     The inter-arrival average is updated even when the packet is dropped for a
@@ -104,17 +106,14 @@ def on_packet_arrival(state, t, params, item):
         if t < state.last_arrival:
             raise CongestionLogicError("arrival time moved backwards")
         gap = t - state.last_arrival
-        base = state.T_s if params.legacy_ewma else state.T_a
-        state.T_a = (1.0 - params.p) * base + params.p * gap
+        base = state.T_s if cfg.legacy_ewma else state.T_a
+        state.T_a = (1.0 - cfg.p) * base + cfg.p * gap
         state.last_arrival = t
         state.arrivals_updated = True
-    if len(state.buffer) >= state.capacity:
-        return False
-    state.buffer.append(item)
-    return True
+    return state.admit(item)
 
 
-def on_packet_departure(state, t, t_s, params):
+def on_packet_departure(state, t, t_s, cfg):
     """Register a successful transmission at time t with airtime t_s; pops the head packet."""
     if not state.buffer:
         raise CongestionLogicError("departure with empty buffer")
@@ -124,8 +123,8 @@ def on_packet_departure(state, t, t_s, params):
         if t < state.last_departure:
             raise CongestionLogicError("departure time moved backwards")
         gap = t - state.last_departure
-        base = gap if params.legacy_ewma else state.T_s
-        state.T_s = (1.0 - params.p) * base + params.p * t_s
+        base = gap if cfg.legacy_ewma else state.T_s
+        state.T_s = (1.0 - cfg.p) * base + cfg.p * t_s
         state.last_departure = t
         state.departures_updated = True
     return state.buffer.popleft()
@@ -138,7 +137,7 @@ def congestion_degree(state):
     return state.T_s / state.T_a
 
 
-def detect(state, params):
+def detect(state, cfg):
     """Classify the node's congestion condition.  Pure: does not mutate state.
 
     Strict inequalities throughout; equality falls to the less aggressive
@@ -151,30 +150,30 @@ def detect(state, params):
         return NO_CHANGE
     b_r = state.b_r
     if c_d > 1.0:
-        if b_r > params.b_max:
+        if b_r > cfg.b_max:
             return DECLARE_CONGESTION
         return DAMP_LOCAL_RATE
-    if b_r <= params.b_max:
+    if b_r <= cfg.b_max:
         return CLEAR_CONGESTION
     return NO_CHANGE
 
 
-def apply_detect(state, params):
+def apply_detect(state, cfg):
     """Recompute C_d, classify, and apply the resulting state change."""
     state.C_d = congestion_degree(state)
-    action = detect(state, params)
+    action = detect(state, cfg)
     if action == DECLARE_CONGESTION:
         state.congested_flag = True
     elif action == CLEAR_CONGESTION:
         state.congested_flag = False
     elif action == DAMP_LOCAL_RATE:
         # Restores the arrival/departure balance implied by the degree definition.
-        state.R = max(params.r_min, state.R / state.C_d)
+        state.R = max(cfg.r_min, state.R / state.C_d)
         state.R_max = state.R
     return action
 
 
-def feedback_update(b_local, b_down, r, w, r_max, params):
+def feedback_update(b_local, b_down, r, w, r_max, cfg):
     """Four-case window/rate adjustment, unclamped.
 
     b_local is this node's buffer occupancy ratio, b_down the downstream one
@@ -182,7 +181,7 @@ def feedback_update(b_local, b_down, r, w, r_max, params):
     b_down <= b_max falls into the additive-increase case so exactly one case
     applies for every occupancy pair.
     """
-    b_max = params.b_max
+    b_max = cfg.b_max
     inv_down = math.inf if b_down == 0.0 else 1.0 / b_down
     if b_down > b_max:
         if b_local > b_max:
@@ -194,66 +193,96 @@ def feedback_update(b_local, b_down, r, w, r_max, params):
     return r + delta_r, 10.0 * w * b_down
 
 
-def process_feedback(state, w, b_r_down, params):
+def process_feedback(state, w, b_r_down, cfg):
     """Compute the clamped (R', W') response to downstream feedback.  Pure.
 
     w is the node's current (real-valued) contention window, which lives in
-    the MAC state.  Raises ValueError for a malformed occupancy ratio; callers
-    count and ignore such signals.
+    the MAC state.  Raises ValueError for an occupancy ratio outside [0, 1].
     """
     if not 0.0 <= b_r_down <= 1.0:
         raise ValueError("malformed feedback occupancy ratio %r" % (b_r_down,))
-    r_new, w_new = feedback_update(state.b_r, b_r_down, state.R, w, state.R_max, params)
-    return clamp_rate(r_new, params), clamp_window(w_new, params)
+    r_new, w_new = feedback_update(state.b_r, b_r_down, state.R, w, state.R_max, cfg)
+    return clamp_rate(r_new, cfg), clamp_window(w_new, cfg)
 
 
-def apply_feedback(state, w, b_r_down, params):
+def apply_feedback(state, w, b_r_down, cfg):
     """Apply downstream feedback to the node state; returns the new window.
 
     A congestion-triggered decrease (either side above threshold) resets the
     rate high-water mark to the new rate; otherwise the mark tracks the
     running maximum.
     """
-    r_new, w_new = process_feedback(state, w, b_r_down, params)
+    r_new, w_new = process_feedback(state, w, b_r_down, cfg)
     state.R = r_new
-    if b_r_down > params.b_max or state.b_r > params.b_max:
+    if b_r_down > cfg.b_max or state.b_r > cfg.b_max:
         state.R_max = r_new
     elif r_new > state.R_max:
         state.R_max = r_new
     return w_new
 
 
-def should_relay(state, incoming, params):
+def should_relay(state, incoming, cfg):
     """Whether to relay a downstream feedback signal upstream.
 
     Local congestion takes precedence: a congested node always sends its own
     signal.  A non-congested node relays a congested downstream signal only if
-    the last signal it sent out was its own, which rate-limits relaying.
+    its last_feedback_origin is ORIGIN_LOCAL, i.e. the last signal that
+    changed the origin was its own *congested* state (``generate_feedback``
+    records only those, not its own uncongested state).  A node that has
+    never sent a congested signal of its own therefore never relays, and
+    after one relay it relays again only once it has sent one in between.
     """
-    if state.b_r > params.b_max:
+    if state.b_r > cfg.b_max:
         return False
     if incoming.congested:
         return state.last_feedback_origin == ORIGIN_LOCAL
     return False
 
 
-def generate_feedback(state, params, origin_id):
-    """Feedback describing the local buffer, attached to an outgoing RTS."""
+def on_feedback(state, w, incoming, cfg):
+    """Act on a downstream signal heard on the next hop's RTS; returns the new window.
+
+    Applies the four-case adjustment, then holds the signal for relaying if
+    ``should_relay`` says so.  Raises ValueError for an occupancy ratio
+    outside [0, 1], leaving the state unchanged.
+    """
+    w_new = apply_feedback(state, w, incoming.b_r, cfg)
+    if should_relay(state, incoming, cfg):
+        state.relay = incoming
+    return w_new
+
+
+def generate_feedback(state, cfg, origin_id):
+    """The signal attached to an outgoing RTS, with last_feedback_origin bookkeeping.
+
+    A congested node (b_r > b_max) sends its own state and sets the origin to
+    ORIGIN_LOCAL.  Otherwise a signal held for relaying goes out once and sets
+    the origin to ORIGIN_RELAYED.  Failing both, the node sends its own
+    uncongested state and leaves the origin as it was.
+    """
     b_r = state.b_r
-    return FeedbackInfo(b_r=b_r, congested=b_r > params.b_max, origin=origin_id)
+    if b_r > cfg.b_max:
+        state.last_feedback_origin = ORIGIN_LOCAL
+        return FeedbackInfo(b_r, True, origin_id)
+    if state.relay is not None:
+        relayed = state.relay
+        state.relay = None
+        state.last_feedback_origin = ORIGIN_RELAYED
+        return relayed
+    return FeedbackInfo(b_r, False, origin_id)
 
 
-def clamp_window(w, params):
-    if w < params.w_min:
-        return float(params.w_min)
-    if w > params.w_max:
-        return float(params.w_max)
+def clamp_window(w, cfg):
+    if w < cfg.w_min:
+        return float(cfg.w_min)
+    if w > cfg.w_max:
+        return float(cfg.w_max)
     return w
 
 
-def clamp_rate(r, params):
-    if r < params.r_min:
-        return params.r_min
-    if r > params.r_cap:
-        return params.r_cap
+def clamp_rate(r, cfg):
+    if r < cfg.r_min:
+        return cfg.r_min
+    if r > cfg.r_cap:
+        return cfg.r_cap
     return r

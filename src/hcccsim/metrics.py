@@ -90,14 +90,12 @@ def throughput_mean(records, warmup_us, duration_us):
     return count / (span_us / 1e6)
 
 
-def fairness(rates, squared=True):
+def fairness(rates):
     """Fairness degree of a per-source rate vector.
 
-    The squared form (sum r)^2 / (N sum r^2) is the standard dimensionless
-    index: 1 for equal rates, 1/N when a single source is active.  The
-    non-squared numerator variant is available behind the flag for
-    completeness; it is not dimensionless.  Returns None for an all-zero or
-    empty vector.
+    (sum r)^2 / (N sum r^2), the standard dimensionless index: 1 for equal
+    rates, 1/N when a single source is active.  Returns None for an all-zero
+    or empty vector.
     """
     n = len(rates)
     if n == 0:
@@ -106,9 +104,7 @@ def fairness(rates, squared=True):
     sq = sum(r * r for r in rates)
     if sq == 0:
         return None
-    if squared:
-        return (total * total) / (n * sq)
-    return total / (n * sq)
+    return (total * total) / (n * sq)
 
 
 def mean_std(values):
@@ -163,8 +159,7 @@ def build_report(result):
                     sums[i] += r
         if count:
             per_source = [s / count for s in sums]
-    phi = fairness(per_source, squared=not cfg.printed_fairness) \
-        if per_source else None
+    phi = fairness(per_source) if per_source else None
 
     efficiency = (result.energy_remaining_nj / result.energy_initial_nj
                   if result.energy_initial_nj else 1.0)

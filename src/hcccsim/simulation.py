@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from . import congestion
 from .config import ScenarioConfig
-from .congestion import CongestionState, HcccParams
+from .congestion import CongestionState
 from .engine import Engine, RandomStream
 from .mac import RTS, CTS, DATA, ACK, Frame, MacTiming, draw_backoff
 from .topology import build_topology
@@ -57,7 +57,7 @@ class Node:
         "next_access_time",
         "children", "tx_end", "busy_until", "busy_since", "rx_frame", "rx_prev",
         "responding_until",
-        "pending_feedback", "relay_fb", "last_accepted", "gen_seq",
+        "pending_feedback", "last_accepted", "gen_seq",
         "delivered_fwd", "access_delay_sum", "access_delay_n",
         "data_attempts", "admitted", "removed",
     )
@@ -95,7 +95,6 @@ class Node:
         self.rx_prev = None
         self.responding_until = 0
         self.pending_feedback = None
-        self.relay_fb = None
         self.last_accepted = {}
         self.gen_seq = 0
         self.delivered_fwd = 0
@@ -119,7 +118,6 @@ class RunResult:
     ctrl_attempts: int
     energy_initial_nj: int
     energy_remaining_nj: int
-    malformed_feedback: int
     source_ids: list
     rate_samples: list          # (t_us, tuple of per-source rates)
     nodes: list
@@ -144,9 +142,6 @@ class Simulation:
         self.cfg = cfg
         self.engine = Engine()
         self.timing = MacTiming(cfg)
-        self.params = HcccParams(p=cfg.p, b_max=cfg.b_max, w_min=cfg.w_min,
-                                 w_max=cfg.w_max, r_min=cfg.r_min, r_cap=cfg.r_cap,
-                                 legacy_ewma=cfg.legacy_ewma)
         self.is_hccc = cfg.scheme == "hccc"
         self.is_aimd = cfg.scheme == "aimd_e2e"
         self.check_carrier = check_carrier
@@ -195,7 +190,6 @@ class Simulation:
         self.mac_drops = 0
         self.data_attempts = 0
         self.ctrl_attempts = 0
-        self.malformed_feedback = 0
         self.rate_samples = []
         self.mac_trace = []
         self.hccc_trace = []
@@ -381,11 +375,16 @@ class Simulation:
             return
         now = self.engine.now
         if self.is_hccc:
-            if node.pending_feedback is not None:
-                self._consume_feedback(node)
-            action = congestion.apply_detect(node.cc, self.params)
+            cc = node.cc
+            fb = node.pending_feedback
+            if fb is not None:
+                node.pending_feedback = None
+                node.w = congestion.on_feedback(cc, node.w, fb, self.cfg)
+                if self.cfg.trace_hccc:
+                    self.hccc_trace.append((now, node.id, cc.b_r, cc.C_d, cc.R,
+                                            node.w, "feedback"))
+            action = congestion.apply_detect(cc, self.cfg)
             if self.cfg.trace_hccc:
-                cc = node.cc
                 self.hccc_trace.append((now, node.id, cc.b_r, cc.C_d, cc.R,
                                         node.w, "detect:%s" % action))
         rate = self._pacing_rate(node)
@@ -397,40 +396,14 @@ class Simulation:
         node.remaining = draw_backoff(node.w, node.stream)
         self._schedule_wake(node, now + self.timing.difs + self._jitter(node))
 
-    def _consume_feedback(self, node):
-        fb = node.pending_feedback
-        node.pending_feedback = None
-        if not 0.0 <= fb.b_r <= 1.0:
-            self.malformed_feedback += 1
-            return
-        if congestion.should_relay(node.cc, fb, self.params):
-            node.relay_fb = fb
-        node.w = congestion.apply_feedback(node.cc, node.w, fb.b_r, self.params)
-        if self.cfg.trace_hccc:
-            cc = node.cc
-            self.hccc_trace.append((self.engine.now, node.id, cc.b_r, cc.C_d,
-                                    cc.R, node.w, "feedback"))
-
-    def _build_feedback(self, node):
-        cc = node.cc
-        b_r = cc.b_r
-        if b_r > self.params.b_max:
-            cc.last_feedback_origin = congestion.ORIGIN_LOCAL
-            return congestion.FeedbackInfo(b_r, True, node.id)
-        if node.relay_fb is not None:
-            fb = node.relay_fb
-            node.relay_fb = None
-            cc.last_feedback_origin = congestion.ORIGIN_RELAYED
-            return fb
-        return congestion.FeedbackInfo(b_r, False, node.id)
-
     def _tx_rts(self, node):
         now = self.engine.now
         if self.check_carrier:
             assert not self._sensed_busy(node, now), \
                 "node %d transmitting into a busy medium at t=%d" % (node.id, now)
         head = node.cc.buffer[0]
-        feedback = self._build_feedback(node) if self.is_hccc else None
+        feedback = (congestion.generate_feedback(node.cc, self.cfg, node.id)
+                    if self.is_hccc else None)
         frame = Frame(RTS, node.id, node.next_hop.id, self.cfg.control_size,
                       feedback, head.id, head)
         node.phase = AWAIT_CTS
@@ -502,7 +475,7 @@ class Simulation:
         now = self.engine.now
         if self.is_hccc:
             congestion.on_packet_departure(node.cc, now, self.timing.data_air,
-                                           self.params)
+                                           self.cfg)
         else:
             node.cc.buffer.popleft()
         node.removed += 1
@@ -565,14 +538,9 @@ class Simulation:
     def _admit(self, node, pkt):
         now = self.engine.now
         if self.is_hccc:
-            ok = congestion.on_packet_arrival(node.cc, now, self.params, pkt)
+            ok = congestion.on_packet_arrival(node.cc, now, self.cfg, pkt)
         else:
-            cc = node.cc
-            if len(cc.buffer) >= cc.capacity:
-                ok = False
-            else:
-                cc.buffer.append(pkt)
-                ok = True
+            ok = node.cc.admit(pkt)
         if ok:
             node.admitted += 1
             self._start_access(node)
@@ -647,7 +615,6 @@ class Simulation:
             ctrl_attempts=self.ctrl_attempts,
             energy_initial_nj=total_initial,
             energy_remaining_nj=total_remaining,
-            malformed_feedback=self.malformed_feedback,
             source_ids=[s.id for s in self.sources],
             rate_samples=self.rate_samples,
             nodes=self.nodes,

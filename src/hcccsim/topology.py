@@ -32,10 +32,6 @@ class Topology:
         self.next_hop = next_hop
         self.hop_count = hop_count
 
-    @property
-    def sink_id(self):
-        return 0
-
     def reachable(self, node_id):
         return self.hop_count[node_id] is not None
 

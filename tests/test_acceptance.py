@@ -12,14 +12,14 @@ from scipy.stats import spearmanr
 
 from hcccsim import cli, congestion, metrics
 from hcccsim.config import ScenarioConfig, validate
-from hcccsim.congestion import CongestionState, HcccParams
+from hcccsim.congestion import CongestionState
 from hcccsim.engine import RandomStream
 from hcccsim.simulation import run_scenario
 from hcccsim.traffic import DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED, IN_FLIGHT
 
 from conftest import contention_topology
 
-P = HcccParams()
+P = ScenarioConfig()
 
 
 # ---- 1. four-case adjustment vs. independent transcription ---------------
@@ -82,7 +82,8 @@ def test_acceptance_1_adjustment_oracle():
 # ---- 2. averaging fixtures ----------------------------------------------
 
 def test_acceptance_2_averaging_fixtures():
-    for params in (HcccParams(legacy_ewma=True), HcccParams(legacy_ewma=False)):
+    for params in (ScenarioConfig(legacy_ewma=True),
+                   ScenarioConfig(legacy_ewma=False)):
         st = CongestionState(500, 2600, 100.0)
         st.T_s = 10_000.0
         st.T_a = 10_000.0
@@ -93,16 +94,16 @@ def test_acceptance_2_averaging_fixtures():
     st = CongestionState(500, 2600, 100.0)
     for _ in range(3):
         st.buffer.append(object())
-    congestion.on_packet_departure(st, 0, 1600, HcccParams(legacy_ewma=True))
-    congestion.on_packet_departure(st, 15_000, 1600, HcccParams(legacy_ewma=True))
+    congestion.on_packet_departure(st, 0, 1600, ScenarioConfig(legacy_ewma=True))
+    congestion.on_packet_departure(st, 15_000, 1600, ScenarioConfig(legacy_ewma=True))
     assert st.T_s == 10_980.0
 
     st = CongestionState(500, 2600, 100.0)
     st.T_s = 15_000.0
     for _ in range(3):
         st.buffer.append(object())
-    congestion.on_packet_departure(st, 0, 1600, HcccParams(legacy_ewma=False))
-    congestion.on_packet_departure(st, 9_999, 1600, HcccParams(legacy_ewma=False))
+    congestion.on_packet_departure(st, 0, 1600, ScenarioConfig(legacy_ewma=False))
+    congestion.on_packet_departure(st, 9_999, 1600, ScenarioConfig(legacy_ewma=False))
     assert st.T_s == 10_980.0
     print("acceptance 2: averaging fixtures 13000us / 10980us exact in "
           "both modes PASS")

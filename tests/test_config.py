@@ -47,10 +47,11 @@ def test_occupancy_threshold_range_error_names_field():
 
 
 def test_unknown_key_is_an_error_with_line_number():
-    with pytest.raises(ConfigError) as err:
-        parse_config_text("node_count = 10\nbogus_key = 1\n")
-    assert "line 2" in str(err.value)
-    assert "bogus_key" in str(err.value)
+    for key, value in (("bogus_key", "1"), ("printed_fairness", "true")):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("node_count = 10\n%s = %s\n" % (key, value))
+        assert "line 2" in str(err.value)
+        assert key in str(err.value)
 
 
 def test_unknown_section_rejected():

@@ -4,14 +4,15 @@ import pytest
 
 from hcccsim import congestion
 from hcccsim.congestion import (CongestionLogicError, CongestionState,
-                                FeedbackInfo, HcccParams,
+                                FeedbackInfo,
                                 DECLARE_CONGESTION, DAMP_LOCAL_RATE,
                                 CLEAR_CONGESTION, NO_CHANGE,
                                 ORIGIN_LOCAL, ORIGIN_NONE, ORIGIN_RELAYED)
+from hcccsim.config import ScenarioConfig
 from hcccsim.engine import RandomStream
 
-P = HcccParams()
-P_CONV = HcccParams(legacy_ewma=False)
+P = ScenarioConfig()
+P_CONV = ScenarioConfig(legacy_ewma=False)
 
 
 def fresh_state(capacity=500, nominal=2600, r=100.0):

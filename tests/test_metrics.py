@@ -80,12 +80,6 @@ def test_fairness_fixture_123():
     assert abs(phi - 6.0 / 7.0) < 1e-9
 
 
-def test_fairness_printed_variant():
-    # non-squared numerator: 6 / (3 * 14)
-    phi = metrics.fairness([1.0, 2.0, 3.0], squared=False)
-    assert abs(phi - 6.0 / 42.0) < 1e-12
-
-
 def test_fairness_degenerate_inputs():
     assert metrics.fairness([]) is None
     assert metrics.fairness([0.0, 0.0]) is None

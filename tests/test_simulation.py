@@ -1,6 +1,14 @@
 """Whole-run behaviour: determinism, conservation, lifecycle, scheme wiring."""
 
+import importlib.util
+import sys
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from hcccsim import congestion
 
 from hcccsim.config import ScenarioConfig, validate
 from hcccsim.congestion import (FeedbackInfo, ORIGIN_LOCAL, ORIGIN_NONE,
@@ -155,17 +163,16 @@ def test_poisson_traffic_runs_deterministically():
     assert a.delivered == b.delivered
 
 
-def test_malformed_feedback_is_counted_not_fatal():
-    from hcccsim.congestion import FeedbackInfo
-    from hcccsim.simulation import Simulation
+def test_malformed_feedback_raises_and_changes_nothing():
     sim = Simulation(mid_cfg(scheme="hccc", duration=5.0))
     source = sim.sources[0]
-    w_before = source.w
+    inject_packet(sim, source)
+    w_before, r_before = source.w, source.cc.R
     source.pending_feedback = FeedbackInfo(1.7, True, 99)
-    sim._consume_feedback(source)
-    assert sim.malformed_feedback == 1
-    assert source.pending_feedback is None
-    assert source.w == w_before          # bad signal ignored, not applied
+    with pytest.raises(ValueError):
+        sim._access_begin(source)
+    assert source.w == w_before
+    assert source.cc.R == r_before
 
 
 def relay_chain():
@@ -179,16 +186,15 @@ def relay_chain():
 def send_one_via_node_2(sim, incoming):
     """Hand node 2 a downstream signal and one packet; run until it is forwarded."""
     relay, upstream = sim.nodes[2], sim.nodes[3]
+    start, forwarded = sim.engine.now, relay.delivered_fwd
     upstream.pending_feedback = None
     relay.pending_feedback = incoming
     inject_packet(sim, relay)
-    sim.engine.run_until(sim.engine.now + 500_000)
-    assert relay.delivered_fwd == 1
-    rts = [row for row in sim.mac_trace
-           if row[1] == 2 and row[2] == RTS and row[4] == "tx_start"]
+    sim.engine.run_until(start + 500_000)
+    assert relay.delivered_fwd == forwarded + 1
+    rts = [row for row in sim.mac_trace if row[0] >= start and row[1] == 2
+           and row[2] == RTS and row[4] == "tx_start"]
     assert len(rts) == 1
-    sim.mac_trace.clear()
-    relay.delivered_fwd = 0
     return upstream.pending_feedback
 
 
@@ -224,3 +230,34 @@ def test_schemes_differ_under_load():
             for scheme in ("hccc", "none", "aimd_e2e")}
     losses = {s: build_report(r).packet_loss_ratio for s, r in runs.items()}
     assert len(set(losses.values())) == 3
+
+
+def bench_congestion_fns():
+    """The congestion functions the benchmark's traced run wraps and counts."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.CONGESTION_FNS
+
+
+def test_only_hccc_calls_the_traced_congestion_functions(monkeypatch):
+    # The benchmark fails a traced baseline run that calls any of them.
+    calls = Counter()
+    for name in bench_congestion_fns():
+        orig = getattr(congestion, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            calls[_name] += 1
+            return _orig(*args)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "hcccsim" and vars(mod).get(name) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    totals = {}
+    for scheme in ("none", "aimd_e2e", "hccc"):
+        calls.clear()
+        run_scenario(mid_cfg(scheme=scheme, duration=5.0, warmup=1.0))
+        totals[scheme] = sum(calls.values())
+    assert totals["none"] == 0
+    assert totals["aimd_e2e"] == 0
+    assert totals["hccc"] > 0
