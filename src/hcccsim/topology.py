@@ -93,15 +93,15 @@ def build_adjacency(nodes, radius):
     return adjacency
 
 
-def compute_routes(adjacency, sink_id=0):
+def compute_routes(adjacency, sink=0):
     """BFS hop counts toward the sink; next hop is the lowest-id neighbor one hop closer.
 
     Unreachable nodes get (None, None).
     """
     n = len(adjacency)
     hop_count = [None] * n
-    hop_count[sink_id] = 0
-    queue = deque([sink_id])
+    hop_count[sink] = 0
+    queue = deque([sink])
     while queue:
         u = queue.popleft()
         for v in adjacency[u]:
@@ -110,7 +110,7 @@ def compute_routes(adjacency, sink_id=0):
                 queue.append(v)
     next_hop = [None] * n
     for v in range(n):
-        if v == sink_id or hop_count[v] is None:
+        if v == sink or hop_count[v] is None:
             continue
         best = None
         for u in adjacency[v]:

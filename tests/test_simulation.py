@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from hcccsim import congestion
-
 from hcccsim.config import ScenarioConfig, validate
 from hcccsim.congestion import (FeedbackInfo, ORIGIN_LOCAL, ORIGIN_NONE,
                                 ORIGIN_RELAYED)
