@@ -1,5 +1,8 @@
 """Placement, unit-disk adjacency and BFS routing."""
 
+import hashlib
+import random
+
 import networkx as nx
 import pytest
 
@@ -55,6 +58,109 @@ def test_adjacency_symmetric_no_self_loops():
         assert i not in neigh
         for j in neigh:
             assert i in adj[j]
+
+
+def all_pairs_adjacency(nodes, radius):
+    """Reference for build_adjacency: every pair compared, lower id first."""
+    r2 = radius * radius
+    adjacency = [[] for _ in nodes]
+    for i, a in enumerate(nodes):
+        for j in range(i + 1, len(nodes)):
+            dx = nodes[j].x - a.x
+            dy = nodes[j].y - a.y
+            if dx * dx + dy * dy <= r2:
+                adjacency[i].append(j)
+                adjacency[j].append(i)
+    return adjacency
+
+
+def _specs(points):
+    return [NodeSpec(i, x, y, "sink" if i == 0 else "relay")
+            for i, (x, y) in enumerate(points)]
+
+
+def _check_against_reference(nodes, radius):
+    adj = build_adjacency(nodes, radius)
+    assert adj == all_pairs_adjacency(nodes, radius)
+    for neigh in adj:
+        assert all(a < b for a, b in zip(neigh, neigh[1:]))
+    return adj
+
+
+def test_adjacency_matches_all_pairs_on_seeded_layouts():
+    # 2-300 nodes (log-uniform), sides 1-1000, radii 0.001x-10x the side, and
+    # the field's corner anywhere from -side to 0 so coordinates go negative.
+    rng = random.Random(20261018)
+    for _ in range(250):
+        n = int(2 * 150 ** rng.random())
+        side = 10 ** rng.uniform(0, 3)
+        radius = side * 10 ** rng.uniform(-3, 1)
+        ox, oy = -side * rng.random(), -side * rng.random()
+        points = [(ox + side * rng.random(), oy + side * rng.random())
+                  for _ in range(n)]
+        _check_against_reference(_specs(points), radius)
+
+
+def test_adjacency_pairs_exactly_radius_apart_across_cell_edges():
+    # Every pair below is exactly the radius apart (3-4-5 triangles are exact
+    # in binary) and its two nodes sit in different radius-sized cells.
+    cases = [
+        (30.0, [(29.0, 5.0), (59.0, 5.0)]),            # across an x edge
+        (30.0, [(5.0, 29.0), (5.0, 59.0)]),            # across a y edge
+        (30.0, [(20.0, 20.0), (38.0, 44.0)]),          # diagonal, 18-24-30
+        (5.0, [(4.5, 4.5), (7.5, 8.5)]),               # diagonal, 3-4-5
+        (5.0, [(7.5, 8.5), (4.5, 4.5)]),               # same, higher id first
+    ]
+    for radius, points in cases:
+        assert _check_against_reference(_specs(points), radius) == [[1], [0]]
+    just_out = _specs([(29.0, 5.0), (59.000001, 5.0)])
+    assert _check_against_reference(just_out, 30.0) == [[], []]
+
+
+def test_adjacency_negative_coordinates():
+    points = [(-15.0, -15.0), (15.0, -15.0), (-15.0, 15.0), (-45.0, -15.0),
+              (-75.0001, -15.0), (-3.0, -4.0)]
+    adj = _check_against_reference(_specs(points), 30.0)
+    assert adj[0] == [1, 2, 3, 5]
+    assert adj[4] == []
+
+
+def test_adjacency_coincident_nodes():
+    points = [(10.0, 10.0), (10.0, 10.0), (50.0, 50.0), (10.0, 10.0)]
+    adj = _check_against_reference(_specs(points), 1.0)
+    assert adj == [[1, 3], [0, 3], [], [0, 1]]
+
+
+def test_adjacency_field_within_one_cell():
+    points = [(0.1 * i, 0.05 * i * i) for i in range(12)]
+    adj = _check_against_reference(_specs(points), 100.0)
+    assert adj == [[j for j in range(12) if j != i] for i in range(12)]
+
+
+def test_adjacency_sparse_field_with_empty_cells():
+    points = [(0.0, 0.0), (500.0, 500.0), (10.0, 0.0), (1000.0, -1000.0),
+              (510.0, 500.0), (-900.0, 700.0)]
+    adj = _check_against_reference(_specs(points), 30.0)
+    assert adj == [[2], [4], [0], [], [1], []]
+
+
+# The aimd_lossy_large benchmark field: build_topology at placement seed 1.
+# Digests of repr(adjacency) and repr((next_hop, hop_count)).
+LARGE_FIELD_ADJACENCY_SHA256 = (
+    "518921cda3c760d492325d469d83aa0ba3f1ee828e355a1e59fda638b9565d89")
+LARGE_FIELD_ROUTES_SHA256 = (
+    "067848bc85b8f776f429188331ba0a293f4ccd71b9a6af58caa34a6852a3ac38")
+
+
+def test_large_field_adjacency_and_routes_pinned():
+    cfg = validate(ScenarioConfig(node_count=1600, area_side=400.0,
+                                  radius=30.0, source_count=320))
+    topo = build_topology(cfg, RandomStream(1, 0))
+    assert sum(len(neigh) for neigh in topo.adjacency) == 2 * 21380
+    assert (hashlib.sha256(repr(topo.adjacency).encode()).hexdigest()
+            == LARGE_FIELD_ADJACENCY_SHA256)
+    assert (hashlib.sha256(repr((topo.next_hop, topo.hop_count)).encode())
+            .hexdigest() == LARGE_FIELD_ROUTES_SHA256)
 
 
 def test_routes_line_topology():
