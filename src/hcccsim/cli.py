@@ -125,10 +125,11 @@ def cmd_sweep(args):
         values = _parse_values(args.axis, args.values)
     results = run_sweep(cfg, args.axis, values, seeds, out_dir)
     path = os.path.join(out_dir, "sweep_%s.csv" % args.axis)
+    aggregates = {value: metrics.aggregate(reports)
+                  for value, reports in results.items()}
     with open(path, "w") as f:
         f.write("axis,value,metric,mean,stddev,min,max\n")
-        for value, reports in results.items():
-            agg = metrics.aggregate(reports)
+        for value, agg in aggregates.items():
             for name, stats in agg.items():
                 if stats is None:
                     continue
@@ -136,8 +137,7 @@ def cmd_sweep(args):
                         % (args.axis, value, name, stats["mean"],
                            stats["stddev"], stats["min"], stats["max"]))
     for value, reports in results.items():
-        agg = metrics.aggregate(reports)
-        loss = agg["packet_loss_ratio"]
+        loss = aggregates[value]["packet_loss_ratio"]
         print("sweep %s=%s: loss mean=%.4f stddev=%.4f (%d runs)"
               % (args.axis, value, loss["mean"], loss["stddev"], len(reports)))
     print("wrote %s" % path)

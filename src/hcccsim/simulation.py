@@ -49,7 +49,7 @@ AWAIT_ACK = 4
 
 class Node:
     __slots__ = (
-        "id", "role", "x", "y", "neighbors", "next_hop", "hop_count",
+        "id", "role", "neighbors", "next_hop",
         "stream", "energy", "alive", "death_time",
         "cc", "w", "aimd",
         "phase", "counting", "remaining", "count_since", "wake_time",
@@ -65,12 +65,9 @@ class Node:
     def __init__(self, spec, stream, energy, cc, w):
         self.id = spec.id
         self.role = spec.role
-        self.x = spec.x
-        self.y = spec.y
         self.neighbors = []
         self.children = []
         self.next_hop = None
-        self.hop_count = None
         self.stream = stream
         self.energy = energy
         self.alive = True
@@ -170,9 +167,7 @@ class Simulation:
             if nh is not None:
                 node.next_hop = nodes[nh]
                 node.next_hop.children.append(node)
-            node.hop_count = self.topology.hop_count[node.id]
         self.nodes = nodes
-        self.sink = nodes[0]
 
         self.sources = [n for n in nodes if n.role == "source"
                         and self.topology.reachable(n.id)]

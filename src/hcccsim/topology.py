@@ -5,8 +5,17 @@ sink, ties broken by the lowest neighbor id.  This isolates the congestion
 control behaviour from routing dynamics.  Connectivity uses the unit-disk
 rule with an inclusive boundary, compared on squared distances so the result
 is exact.
+
+Neighbors are found through a uniform grid of square cells a hair wider than
+the radius, so a node is compared only with nodes in its own and the eight
+surrounding cells rather than with every other node.  The grid changes the
+search, not the test: the edges and the ascending order of every neighbor
+list are those of a scan over all pairs, and the simulation iterates the
+lists in that order.  Adjacency is indexed by position in the node list.
 """
 
+import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -78,13 +87,38 @@ def place_random(n, side, source_count, stream):
 
 
 def build_adjacency(nodes, radius):
-    """Symmetric neighbor lists; an edge exists iff squared distance <= radius^2."""
+    """Symmetric neighbor lists; an edge exists iff squared distance <= radius^2.
+
+    ``adjacency[i]`` lists the positions in ``nodes`` of node i's neighbors,
+    in ascending order.  The search buckets the nodes into square cells of
+    side ``radius * (1 + 1e-9)``: the margin keeps float rounding from
+    putting an in-range pair two cells apart, so each node is compared only
+    with the higher-indexed nodes of its own cell and the eight around it.
+    Nodes are visited in ascending index and each cell's candidate list is
+    sorted once, so appending to both endpoints keeps every list ascending,
+    exactly as a scan over all pairs would build it.
+    """
     n = len(nodes)
     r2 = radius * radius
+    cell_side = radius * (1.0 + 1e-9)
+    home = [(math.floor(spec.x / cell_side), math.floor(spec.y / cell_side))
+            for spec in nodes]
+    members = {}
+    for i, cell in enumerate(home):
+        members.setdefault(cell, []).append(i)
+    candidates = {}
+    for cx, cy in members:
+        ids = []
+        for gx in (cx - 1, cx, cx + 1):
+            for gy in (cy - 1, cy, cy + 1):
+                ids += members.get((gx, gy), ())
+        ids.sort()
+        candidates[cx, cy] = ids
     adjacency = [[] for _ in range(n)]
     for i in range(n):
         xi, yi = nodes[i].x, nodes[i].y
-        for j in range(i + 1, n):
+        ids = candidates[home[i]]
+        for j in ids[bisect_right(ids, i):]:
             dx = nodes[j].x - xi
             dy = nodes[j].y - yi
             if dx * dx + dy * dy <= r2:
