@@ -6,7 +6,7 @@ control behaviour from routing dynamics.  Connectivity uses the unit-disk
 rule with an inclusive boundary, compared on squared distances so the result
 is exact.
 
-Neighbors are found through a uniform grid of square cells a hair wider than
+Neighbors are found through a uniform grid of square cells slightly wider than
 the radius, so a node is compared only with nodes in its own and the eight
 surrounding cells rather than with every other node.  The grid changes the
 search, not the test: the edges and the ascending order of every neighbor
