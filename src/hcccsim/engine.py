@@ -95,3 +95,7 @@ class Engine:
 
     def pending(self):
         return len(self._queue)
+
+    def clear(self):
+        """Drop every pending event."""
+        self._queue.clear()

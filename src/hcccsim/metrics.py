@@ -1,6 +1,8 @@
 """Evaluation metrics computed from run records: loss ratio, throughput,
 average source rate, energy efficiency and the fairness degree.
 
+The packet metrics and the packets CSV read the columns of the run's
+``traffic.PacketLog`` directly, without building a row per packet.
 Steady-state means exclude a configurable warmup interval; full time series
 are retained so transient behaviour stays plottable from the CSV output.
 """
@@ -8,7 +10,11 @@ are retained so transient behaviour stays plottable from the CSV output.
 import math
 from dataclasses import dataclass, field
 
-from .traffic import DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED, IN_FLIGHT
+from .traffic import (DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED,
+                      IN_FLIGHT, NO_END, OUTCOMES, OUTCOME_CODE)
+
+_DELIVERED = OUTCOME_CODE[DELIVERED]
+_DROPS = (OUTCOME_CODE[BUFFER_OVERFLOW], OUTCOME_CODE[MAC_RETRY_EXHAUSTED])
 
 
 @dataclass
@@ -36,39 +42,32 @@ class MetricsReport:
     rate_series: list = field(default_factory=list)  # (t_s, mean source rate)
 
 
-def packet_loss_ratio(records):
+def packet_loss_ratio(log):
     """Dropped / generated, with packets still in flight at run end excluded
     from both numerator and denominator."""
-    terminal = 0
-    drops = 0
-    for r in records:
-        if r.outcome == IN_FLIGHT:
-            continue
-        terminal += 1
-        if r.outcome in (BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED):
-            drops += 1
+    codes = log.outcome
+    terminal = len(codes) - codes.count(OUTCOME_CODE[IN_FLIGHT])
     if terminal == 0:
         return 0.0
-    return drops / terminal
+    return sum(codes.count(c) for c in _DROPS) / terminal
 
 
-def window_series(records, window_us, duration_us):
+def window_series(log, window_us, duration_us):
     """Per-window generation, delivery and drop counts."""
     if duration_us <= 0 or window_us <= 0:
         return []
     n_windows = max(1, math.ceil(duration_us / window_us))
+    last = n_windows - 1
     gen = [0] * n_windows
     dlv = [0] * n_windows
     drp = [0] * n_windows
-    for r in records:
-        w = min(int(r.created_us // window_us), n_windows - 1)
-        gen[w] += 1
-        if r.outcome == DELIVERED:
-            w2 = min(int(r.end_us // window_us), n_windows - 1)
-            dlv[w2] += 1
-        elif r.outcome in (BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED):
-            w2 = min(int(r.end_us // window_us), n_windows - 1)
-            drp[w2] += 1
+    for created in log.created_us:
+        gen[min(int(created // window_us), last)] += 1
+    for code, end in zip(log.outcome, log.end_us):
+        if code == _DELIVERED:
+            dlv[min(int(end // window_us), last)] += 1
+        elif code in _DROPS:
+            drp[min(int(end // window_us), last)] += 1
     rows = []
     for w in range(n_windows):
         t0 = w * window_us / 1e6
@@ -80,13 +79,13 @@ def window_series(records, window_us, duration_us):
     return rows
 
 
-def throughput_mean(records, warmup_us, duration_us):
+def throughput_mean(log, warmup_us, duration_us):
     """Mean sink delivery rate (pps) over the post-warmup interval."""
     span_us = duration_us - warmup_us
     if span_us <= 0:
         return 0.0
-    count = sum(1 for r in records
-                if r.outcome == DELIVERED and r.end_us >= warmup_us)
+    count = sum(1 for code, end in zip(log.outcome, log.end_us)
+                if code == _DELIVERED and end >= warmup_us)
     return count / (span_us / 1e6)
 
 
@@ -198,6 +197,10 @@ SUMMARY_COLUMNS = (
 )
 
 
+# Packets CSV rows formatted per write call.
+CSV_BLOCK = 4096
+
+
 def _fmt(value):
     if value is None:
         return "na"
@@ -234,10 +237,18 @@ def write_series_csv(path, report):
             f.write("%s,%s\n" % (_fmt(t), _fmt(m)))
 
 
-def write_packets_csv(path, records):
+def write_packets_csv(path, log):
+    """One line per generated packet, in id order; end_us is empty while in
+    flight.  Lines are joined and written CSV_BLOCK rows at a time."""
+    n = len(log)
     with open(path, "w") as f:
         f.write("id,origin,seq,created_us,outcome,end_us,hops\n")
-        for r in records:
-            f.write("%d,%d,%d,%d,%s,%s,%d\n" % (
-                r.id, r.origin, r.seq, r.created_us, r.outcome,
-                "" if r.end_us is None else r.end_us, r.hops))
+        for lo in range(0, n, CSV_BLOCK):
+            hi = lo + CSV_BLOCK
+            f.write("".join([
+                f"{i},{origin},{seq},{created},{OUTCOMES[code]},"
+                f"{'' if end == NO_END else end},{hops}\n"
+                for i, origin, seq, created, code, end, hops in zip(
+                    range(lo, min(hi, n)), log.origin[lo:hi], log.seq[lo:hi],
+                    log.created_us[lo:hi], log.outcome[lo:hi],
+                    log.end_us[lo:hi], log.hops[lo:hi])]))

@@ -36,7 +36,7 @@ from .congestion import CongestionState
 from .engine import Engine, RandomStream
 from .mac import RTS, CTS, DATA, ACK, Frame, MacTiming, draw_backoff
 from .topology import build_topology
-from .traffic import (AimdSource, EnergyBook, Packet, PacketRecord,
+from .traffic import (AimdSource, EnergyBook, Packet, PacketLog,
                       DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED)
 
 # MAC phases
@@ -104,9 +104,12 @@ class Node:
 
 @dataclass
 class RunResult:
+    """What one run leaves behind.  ``records`` is the run's PacketLog: one
+    row per generated packet, the packet id being the row number."""
+
     config: ScenarioConfig
     topology: object
-    records: list
+    records: PacketLog
     generated: int
     delivered: int
     overflow_drops: int
@@ -177,9 +180,7 @@ class Simulation:
                                       cfg.aimd_alpha, cfg.r_min, cfg.r_cap)
         self.sink_expected = {}
 
-        self.records = {}
-        self.next_pkt_id = 0
-        self.generated = 0
+        self.log = PacketLog()
         self.delivered = 0
         self.overflow_drops = 0
         self.mac_drops = 0
@@ -454,8 +455,8 @@ class Simulation:
         if node.retries > self.timing.retry_limit:
             pkt = node.cc.buffer.popleft()
             node.removed += 1
-            if self.records[pkt.id].finish(MAC_RETRY_EXHAUSTED, self.engine.now,
-                                           pkt.hops):
+            if self.log.finish(pkt.id, MAC_RETRY_EXHAUSTED, self.engine.now,
+                               pkt.hops):
                 self.mac_drops += 1
             node.phase = IDLE
             self._start_access(node)
@@ -519,7 +520,7 @@ class Simulation:
                 self._complete_send(node)
 
     def _deliver_at_sink(self, pkt, now):
-        if self.records[pkt.id].finish(DELIVERED, now, pkt.hops):
+        if self.log.finish(pkt.id, DELIVERED, now, pkt.hops):
             self.delivered += 1
         if self.is_aimd:
             expected = self.sink_expected.get(pkt.origin, 0)
@@ -540,21 +541,22 @@ class Simulation:
             node.admitted += 1
             self._start_access(node)
         else:
-            if self.records[pkt.id].finish(BUFFER_OVERFLOW, now, pkt.hops):
+            if self.log.finish(pkt.id, BUFFER_OVERFLOW, now, pkt.hops):
                 self.overflow_drops += 1
 
     # ---- traffic --------------------------------------------------------
+
+    def _new_packet(self, node):
+        """Generate the node's next packet now and log it as in flight."""
+        seq = node.gen_seq
+        node.gen_seq += 1
+        return Packet(self.log.add(node.id, seq, self.engine.now), node.id, seq)
 
     def _on_generate(self, node):
         if not node.alive:
             return
         now = self.engine.now
-        pkt = Packet(self.next_pkt_id, node.id, node.gen_seq, now)
-        node.gen_seq += 1
-        self.records[pkt.id] = PacketRecord(pkt.id, node.id, pkt.seq, now)
-        self.next_pkt_id += 1
-        self.generated += 1
-        self._admit(node, pkt)
+        self._admit(node, self._new_packet(node))
         rate = self._source_rate(node)
         self.engine.schedule(now + self._gen_interval(node, rate),
                              self._on_generate, node)
@@ -594,15 +596,17 @@ class Simulation:
                 if 1_000_000 <= self.limit_us:
                     self.engine.schedule(1_000_000, self._on_aimd_tick, src)
         self.engine.run_until(self.limit_us)
+        # The events queued past the horizon hold bound methods of this
+        # Simulation; dropping them lets reference counting free the run.
+        self.engine.clear()
 
-        records = [self.records[i] for i in range(self.next_pkt_id)]
         total_initial = sum(n.energy.initial_nj for n in self.nodes)
         total_remaining = sum(n.energy.remaining_nj for n in self.nodes)
         return RunResult(
             config=cfg,
             topology=self.topology,
-            records=records,
-            generated=self.generated,
+            records=self.log,
+            generated=len(self.log),
             delivered=self.delivered,
             overflow_drops=self.overflow_drops,
             mac_drops=self.mac_drops,

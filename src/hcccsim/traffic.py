@@ -4,13 +4,25 @@ Energy is stored in integer nanojoules so the conservation identity
 (total consumed == per-packet cost x transmission attempts) holds exactly.
 A node whose remaining energy drops below the per-packet cost is dead: it
 stops generating, forwarding and responding.
+
+Every generated packet gets one row in a ``PacketLog``: a fixed-width column
+per field, about 30 bytes a packet, with the packet id as the row number.
 """
 
-# Terminal outcomes of a generated data packet.
+from array import array
+from collections import namedtuple
+
+# Outcomes of a generated data packet.  The PacketLog stores the index, and
+# a row holds 0 (IN_FLIGHT) until the packet ends.
+IN_FLIGHT = "in_flight"
 DELIVERED = "delivered"
 BUFFER_OVERFLOW = "buffer_overflow"
 MAC_RETRY_EXHAUSTED = "mac_retry_exhausted"
-IN_FLIGHT = "in_flight"
+OUTCOMES = (IN_FLIGHT, DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED)
+OUTCOME_CODE = {name: code for code, name in enumerate(OUTCOMES)}
+
+# end_us of a packet still in flight.
+NO_END = -1
 
 
 def joules_to_nj(j):
@@ -45,41 +57,72 @@ class EnergyBook:
 
 
 class Packet:
-    """One data packet travelling toward the sink."""
+    """One data packet travelling toward the sink; its PacketLog row has
+    the creation time and, once it ends, the outcome."""
 
-    __slots__ = ("id", "origin", "seq", "created_us", "hops")
+    __slots__ = ("id", "origin", "seq", "hops")
 
-    def __init__(self, pkt_id, origin, seq, created_us):
+    def __init__(self, pkt_id, origin, seq):
         self.id = pkt_id
         self.origin = origin
         self.seq = seq
-        self.created_us = created_us
         self.hops = 0
 
 
-class PacketRecord:
-    """Terminal accounting for one generated packet."""
+PacketRow = namedtuple(
+    "PacketRow", "id origin seq created_us outcome end_us hops")
 
-    __slots__ = ("id", "origin", "seq", "created_us", "outcome", "end_us", "hops")
 
-    def __init__(self, pkt_id, origin, seq, created_us):
-        self.id = pkt_id
-        self.origin = origin
-        self.seq = seq
-        self.created_us = created_us
-        self.outcome = IN_FLIGHT
-        self.end_us = None
-        self.hops = 0
+class PacketLog:
+    """Outcome accounting for every generated packet, one column per field.
 
-    def finish(self, outcome, end_us, hops=None):
+    The packet id is the row number.  ``outcome`` holds indices into
+    OUTCOMES and ``end_us`` holds NO_END while the packet is in flight.
+    Indexing and iteration build PacketRow tuples on demand, with end_us
+    None for a packet in flight.
+    """
+
+    __slots__ = ("origin", "seq", "created_us", "outcome", "end_us", "hops")
+
+    def __init__(self):
+        self.origin = array("i")
+        self.seq = array("i")
+        self.created_us = array("q")
+        self.outcome = bytearray()
+        self.end_us = array("q")
+        self.hops = array("i")
+
+    def add(self, origin, seq, created_us):
+        """Append an in-flight packet; returns its id."""
+        self.origin.append(origin)
+        self.seq.append(seq)
+        self.created_us.append(created_us)
+        self.outcome.append(0)
+        self.end_us.append(NO_END)
+        self.hops.append(0)
+        return len(self.outcome) - 1
+
+    def finish(self, pkt_id, outcome, end_us, hops):
         """Assign the terminal outcome; returns False if one was already set."""
-        if self.outcome != IN_FLIGHT:
+        if self.outcome[pkt_id]:
             return False
-        self.outcome = outcome
-        self.end_us = end_us
-        if hops is not None:
-            self.hops = hops
+        self.outcome[pkt_id] = OUTCOME_CODE[outcome]
+        self.end_us[pkt_id] = end_us
+        self.hops[pkt_id] = hops
         return True
+
+    def __len__(self):
+        return len(self.outcome)
+
+    def __getitem__(self, pkt_id):
+        i = range(len(self.outcome))[pkt_id]     # negative ids, IndexError
+        end = self.end_us[i]
+        return PacketRow(i, self.origin[i], self.seq[i], self.created_us[i],
+                         OUTCOMES[self.outcome[i]],
+                         None if end == NO_END else end, self.hops[i])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.outcome)))
 
 
 class AimdSource:

@@ -2,7 +2,6 @@
 
 from hcccsim.config import ScenarioConfig, validate
 from hcccsim.topology import NodeSpec, Topology, build_adjacency, compute_routes
-from hcccsim.traffic import Packet, PacketRecord
 
 
 def make_topology(positions, roles, radius=30.0):
@@ -43,11 +42,7 @@ def inject_packet(sim, node):
 
     Used with offered_load=0 scenarios to control send timing exactly.
     """
-    pkt = Packet(sim.next_pkt_id, node.id, node.gen_seq, sim.engine.now)
-    node.gen_seq += 1
-    sim.records[pkt.id] = PacketRecord(pkt.id, pkt.origin, pkt.seq, pkt.created_us)
-    sim.next_pkt_id += 1
-    sim.generated += 1
+    pkt = sim._new_packet(node)
     node.cc.buffer.append(pkt)
     node.admitted += 1
     sim._start_access(node)

@@ -48,6 +48,10 @@ def test_run_until_processes_events_up_to_limit():
     assert seen == [1]
     assert eng.now == 100_000_000
     assert eng.pending() == 1
+    eng.clear()
+    assert eng.pending() == 0
+    assert eng.run_until(200_000_000) == 0
+    assert seen == [1]
 
 
 def test_clock_never_decreases_and_order_is_total():

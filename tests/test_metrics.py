@@ -4,47 +4,54 @@ import math
 
 from hcccsim import metrics
 from hcccsim.simulation import run_scenario
-from hcccsim.traffic import PacketRecord, DELIVERED, BUFFER_OVERFLOW
+from hcccsim.traffic import PacketLog, DELIVERED, BUFFER_OVERFLOW
 
 from conftest import small_cfg, two_node_topology
 
 
 def rec(i, outcome=None, created=0, end=None, origin=1):
-    r = PacketRecord(i, origin, i, created)
-    if outcome is not None:
-        r.finish(outcome, end if end is not None else created + 1000)
-    return r
+    """Packet i of a log_of list; an outcome of None leaves it in flight."""
+    return origin, i, created, outcome, end if end is not None else created + 1000
+
+
+def log_of(recs):
+    log = PacketLog()
+    for origin, seq, created, outcome, end in recs:
+        pkt_id = log.add(origin, seq, created)
+        if outcome is not None:
+            log.finish(pkt_id, outcome, end, 0)
+    return log
 
 
 def test_loss_ratio_counting():
-    records = [rec(i, DELIVERED) for i in range(90)]
-    records += [rec(90 + i, BUFFER_OVERFLOW) for i in range(10)]
+    records = log_of([rec(i, DELIVERED) for i in range(90)]
+                     + [rec(90 + i, BUFFER_OVERFLOW) for i in range(10)])
     assert metrics.packet_loss_ratio(records) == 0.10
 
 
 def test_loss_ratio_empty_is_zero():
-    assert metrics.packet_loss_ratio([]) == 0.0
+    assert metrics.packet_loss_ratio(PacketLog()) == 0.0
 
 
 def test_loss_ratio_all_dropped():
-    records = [rec(i, "mac_retry_exhausted") for i in range(5)]
+    records = log_of([rec(i, "mac_retry_exhausted") for i in range(5)])
     assert metrics.packet_loss_ratio(records) == 1.0
 
 
 def test_loss_ratio_excludes_in_flight():
-    records = [rec(0, DELIVERED), rec(1, BUFFER_OVERFLOW), rec(2)]
+    records = log_of([rec(0, DELIVERED), rec(1, BUFFER_OVERFLOW), rec(2)])
     assert metrics.packet_loss_ratio(records) == 0.5
 
 
 def test_window_series_hand_tally():
     # 3 generated in window 0, 1 in window 1; delivery/drop times land
     # in their own windows
-    records = [
+    records = log_of([
         rec(0, DELIVERED, created=1_000_000, end=2_000_000),
         rec(1, BUFFER_OVERFLOW, created=2_000_000, end=12_000_000),
         rec(2, None, created=3_000_000),
         rec(3, DELIVERED, created=11_000_000, end=19_000_000),
-    ]
+    ])
     rows = metrics.window_series(records, 10_000_000, 20_000_000)
     assert len(rows) == 2
     t0, t1, gen, dlv, drp, loss, tput = rows[0]
@@ -56,14 +63,14 @@ def test_window_series_hand_tally():
 
 def test_throughput_steady_rate():
     # one delivery per second for 100 s, warmup 20 s
-    records = [rec(i, DELIVERED, created=i * 1_000_000, end=i * 1_000_000)
-               for i in range(100)]
+    records = log_of([rec(i, DELIVERED, created=i * 1_000_000,
+                          end=i * 1_000_000) for i in range(100)])
     mean = metrics.throughput_mean(records, 20_000_000, 100_000_000)
     assert mean == 80 / 80.0
 
 
 def test_throughput_no_deliveries():
-    records = [rec(i, BUFFER_OVERFLOW) for i in range(10)]
+    records = log_of([rec(i, BUFFER_OVERFLOW) for i in range(10)])
     assert metrics.throughput_mean(records, 0, 10_000_000) == 0.0
 
 
@@ -104,9 +111,9 @@ def test_aggregate_single_report_and_fixture():
 
 
 def test_outcome_partition_fractions_sum_to_one():
-    records = ([rec(i, DELIVERED) for i in range(6)]
-               + [rec(6 + i, BUFFER_OVERFLOW) for i in range(3)]
-               + [rec(9)])
+    records = log_of([rec(i, DELIVERED) for i in range(6)]
+                     + [rec(6 + i, BUFFER_OVERFLOW) for i in range(3)]
+                     + [rec(9)])
     n = len(records)
     delivered = sum(1 for r in records if r.outcome == DELIVERED) / n
     dropped = sum(1 for r in records if r.outcome == BUFFER_OVERFLOW) / n

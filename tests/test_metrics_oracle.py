@@ -15,7 +15,7 @@ import pytest
 from hcccsim import metrics
 from hcccsim.config import ScenarioConfig, validate
 from hcccsim.simulation import run_scenario
-from hcccsim.traffic import (PacketRecord, DELIVERED, BUFFER_OVERFLOW,
+from hcccsim.traffic import (PacketLog, DELIVERED, BUFFER_OVERFLOW,
                              MAC_RETRY_EXHAUSTED, IN_FLIGHT)
 
 DROPS = (BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED)
@@ -81,15 +81,14 @@ def ref_packets_csv(rows):
 # ---- comparison -------------------------------------------------------------
 
 def build(rows):
-    """Packet records from (origin, seq, created_us, outcome, end_us, hops)
+    """A packet log from (origin, seq, created_us, outcome, end_us, hops)
     rows; an outcome of None leaves the packet in flight."""
-    records = []
-    for pkt_id, (origin, seq, created, outcome, end, hops) in enumerate(rows):
-        r = PacketRecord(pkt_id, origin, seq, created)
+    log = PacketLog()
+    for origin, seq, created, outcome, end, hops in rows:
+        pkt_id = log.add(origin, seq, created)
         if outcome is not None:
-            r.finish(outcome, end, hops)
-        records.append(r)
-    return records
+            log.finish(pkt_id, outcome, end, hops)
+    return log
 
 
 def assert_matches_reference(records, warmup_us, window_us, duration_us,
@@ -163,3 +162,12 @@ def test_drops_before_warmup_match_reference(tmp_path):
     assert metrics.throughput_mean(records, warmup, duration) == 2 / 5.0
     assert metrics.packet_loss_ratio(records) == 2 / 5
     assert_matches_reference(records, warmup, 2_000_000, duration, tmp_path)
+
+
+def test_packets_csv_across_write_blocks_matches_reference(tmp_path):
+    # The packets CSV is written in blocks of CSV_BLOCK rows.
+    n = 2 * metrics.CSV_BLOCK + 3
+    outcomes = (DELIVERED, None, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED)
+    records = build([(1 + i % 7, i // 7, 1000 * i, outcomes[i % 4],
+                      1000 * i + 500, i % 5) for i in range(n)])
+    assert_matches_reference(records, 0, 1_000_000, 1000 * n, tmp_path)

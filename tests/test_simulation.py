@@ -1,7 +1,10 @@
 """Whole-run behaviour: determinism, conservation, lifecycle, scheme wiring."""
 
+import gc
 import importlib.util
 import sys
+import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -108,6 +111,42 @@ def test_zero_offered_load():
     report = build_report(result)
     assert report.packet_loss_ratio == 0.0
     assert report.energy_efficiency == 1.0
+
+
+@pytest.mark.parametrize("scheme", ["hccc", "none", "aimd_e2e"])
+def test_finished_run_is_freed_by_reference_counting(scheme):
+    # Events queued past the horizon must not keep the Simulation alive in
+    # a reference cycle until the next full collection.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulation(mid_cfg(scheme=scheme, duration=3.0))
+        result = sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+        assert result.generated > 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_packet_accounting_takes_few_bytes_per_packet():
+    # Saturated: most packets end in a buffer or overflow it.  Dropping the
+    # run's packet log must free it (at least 16 B a packet, so nothing
+    # else holds it) and it must take at most 64 B a packet.
+    cfg = validate(ScenarioConfig(node_count=30, source_count=6, scheme="none",
+                                  offered_load=15.0, duration=20.0))
+    tracemalloc.start()
+    try:
+        result = run_scenario(cfg)
+        before = tracemalloc.get_traced_memory()[0]
+        result.records = None
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.overflow_drops > 0 and result.in_flight > 0
+    assert 16 * result.generated <= freed <= 64 * result.generated
 
 
 def test_single_source_under_capacity_delivers_everything():

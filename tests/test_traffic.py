@@ -1,6 +1,6 @@
 """Energy accounting, packet records and the AIMD baseline controller."""
 
-from hcccsim.traffic import (AimdSource, EnergyBook, PacketRecord,
+from hcccsim.traffic import (AimdSource, EnergyBook, PacketLog,
                              joules_to_nj, DELIVERED, IN_FLIGHT)
 
 
@@ -41,10 +41,12 @@ def test_control_frames_chargeable():
 
 
 def test_packet_record_single_terminal_outcome():
-    rec = PacketRecord(0, 1, 0, 100)
-    assert rec.outcome == IN_FLIGHT
-    assert rec.finish(DELIVERED, 5000, hops=3) is True
-    assert rec.finish("buffer_overflow", 6000) is False
+    log = PacketLog()
+    pkt_id = log.add(1, 0, 100)
+    assert log[pkt_id].outcome == IN_FLIGHT
+    assert log.finish(pkt_id, DELIVERED, 5000, hops=3) is True
+    assert log.finish(pkt_id, "buffer_overflow", 6000, 0) is False
+    rec = log[pkt_id]
     assert rec.outcome == DELIVERED
     assert rec.end_us == 5000
     assert rec.hops == 3
