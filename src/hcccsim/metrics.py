@@ -241,13 +241,16 @@ def write_packets_csv(path, log):
     """One line per generated packet, in id order; end_us is empty while in
     flight.  Lines are joined and written CSV_BLOCK rows at a time."""
     n = len(log)
+    # Origins and hop counts stay below the node count: format each once.
+    small = [str(v) for v in range(max(max(log.origin, default=0),
+                                       max(log.hops, default=0)) + 1)]
     with open(path, "w") as f:
         f.write("id,origin,seq,created_us,outcome,end_us,hops\n")
         for lo in range(0, n, CSV_BLOCK):
             hi = lo + CSV_BLOCK
             f.write("".join([
-                f"{i},{origin},{seq},{created},{OUTCOMES[code]},"
-                f"{'' if end == NO_END else end},{hops}\n"
+                f"{i},{small[origin]},{seq},{created},{OUTCOMES[code]},"
+                f"{'' if end == NO_END else end},{small[hops]}\n"
                 for i, origin, seq, created, code, end, hops in zip(
                     range(lo, min(hi, n)), log.origin[lo:hi], log.seq[lo:hi],
                     log.created_us[lo:hi], log.outcome[lo:hi],
