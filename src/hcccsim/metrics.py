@@ -197,10 +197,6 @@ SUMMARY_COLUMNS = (
 )
 
 
-# Packets CSV rows formatted per write call.
-CSV_BLOCK = 4096
-
-
 def _fmt(value):
     if value is None:
         return "na"
@@ -235,6 +231,10 @@ def write_series_csv(path, report):
         f.write("t_s,mean_source_rate_pps\n")
         for t, m in report.rate_series:
             f.write("%s,%s\n" % (_fmt(t), _fmt(m)))
+
+
+# Packets CSV rows formatted per write call.
+CSV_BLOCK = 4096
 
 
 def write_packets_csv(path, log):
