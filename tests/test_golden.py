@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import replace
 
 import pytest
@@ -45,10 +46,16 @@ SCENARIOS = {
 
 
 def scenario_digests(name, out_dir):
-    """Run one scenario into out_dir; returns {csv file name: sha256}."""
+    """Run one scenario into out_dir; returns ({csv file name: sha256}, the
+    finished Simulation)."""
     cfg = validate(replace(ScenarioConfig(), trace_mac=True, trace_hccc=True,
                            trace_packets=True, **SCENARIOS[name]))
-    checked = functools.partial(Simulation, check_carrier=True)
+    sims = []
+
+    def checked(cfg):
+        sims.append(Simulation(cfg, check_carrier=True))
+        return sims[-1]
+
     original, cli.Simulation = cli.Simulation, checked
     try:
         cli.run_one(cfg, out_dir)
@@ -58,7 +65,15 @@ def scenario_digests(name, out_dir):
     for fname in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, fname), "rb") as f:
             digests[fname] = hashlib.sha256(f.read()).hexdigest()
-    return digests
+    return digests, sims[0]
+
+
+@functools.lru_cache(maxsize=None)
+def golden_run(name):
+    """scenario_digests of one scenario, run once per test session; the
+    channel audit reads the same runs."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        return scenario_digests(name, out_dir)
 
 
 def load_digests():
@@ -71,20 +86,16 @@ def test_golden_covers_every_scenario():
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_golden_digests(name, tmp_path):
+def test_golden_digests(name):
     expected = load_digests()[name]
-    got = scenario_digests(name, str(tmp_path))
+    got = golden_run(name)[0]
     assert sorted(got) == sorted(expected)
     for fname, digest in expected.items():
         assert got[fname] == digest, "%s: %s changed" % (name, fname)
 
 
 def regenerate():
-    import tempfile
-    table = {}
-    for name in sorted(SCENARIOS):
-        with tempfile.TemporaryDirectory() as out_dir:
-            table[name] = scenario_digests(name, out_dir)
+    table = {name: golden_run(name)[0] for name in sorted(SCENARIOS)}
     with open(DIGESTS, "w") as f:
         json.dump(table, f, indent=2, sort_keys=True)
         f.write("\n")
