@@ -3,7 +3,8 @@
 Each scenario runs through ``cli.run_one`` with every trace on (packets, MAC,
 HCCC) and with the carrier-sense assertion enabled.  The SHA-256 of every CSV
 it writes must equal the digest in ``golden/digests.json``.  A change that
-alters output on purpose declares it in CHANGES.md and regenerates the file:
+alters output on purpose declares it in CHANGES.md and regenerates the file,
+which prints every scenario CSV whose digest moved:
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 """
@@ -94,14 +95,38 @@ def test_golden_digests(name):
         assert got[fname] == digest, "%s: %s changed" % (name, fname)
 
 
+def test_regenerate_names_each_moved_digest(tmp_path, monkeypatch):
+    expected = load_digests()
+    stale = json.loads(json.dumps(expected))
+    name = sorted(SCENARIOS)[0]
+    fname = sorted(stale[name])[0]
+    stale[name][fname] = "0" * 64
+    path = tmp_path / "digests.json"
+    path.write_text(json.dumps(stale))
+    monkeypatch.setitem(globals(), "DIGESTS", str(path))
+    assert regenerate() == ["%s %s: %s -> %s" % (name, fname, "0" * 12,
+                                                 expected[name][fname][:12])]
+    assert load_digests() == expected
+
+
 def regenerate():
+    """Rewrite golden/digests.json; returns one line per scenario CSV whose
+    digest changed, with the old and new digest prefixes."""
+    old = load_digests()
     table = {name: golden_run(name)[0] for name in sorted(SCENARIOS)}
     with open(DIGESTS, "w") as f:
         json.dump(table, f, indent=2, sort_keys=True)
         f.write("\n")
+    return ["%s %s: %s -> %s" % (name, fname,
+                                 old.get(name, {}).get(fname, "-")[:12],
+                                 digest[:12])
+            for name, digests in table.items()
+            for fname, digest in digests.items()
+            if old.get(name, {}).get(fname) != digest]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --regenerate")
-    regenerate()
+    changed = regenerate()
+    print("\n".join(changed) if changed else "no digest changed")
