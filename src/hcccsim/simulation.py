@@ -599,6 +599,12 @@ class Simulation:
         # The events queued past the horizon hold bound methods of this
         # Simulation; dropping them lets reference counting free the run.
         self.engine.clear()
+        # A packet's hop count reaches the log when it ends; write it now
+        # for the packets still in a buffer.
+        for node in self.nodes:
+            for pkt in node.cc.buffer:
+                if not self.log.outcome[pkt.id]:
+                    self.log.hops[pkt.id] = pkt.hops
 
         total_initial = sum(n.energy.initial_nj for n in self.nodes)
         total_remaining = sum(n.energy.remaining_nj for n in self.nodes)

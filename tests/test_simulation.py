@@ -149,6 +149,17 @@ def test_packet_accounting_takes_few_bytes_per_packet():
     assert 16 * result.generated <= freed <= 64 * result.generated
 
 
+def test_in_flight_rows_carry_the_buffered_hop_count():
+    cfg = validate(ScenarioConfig(node_count=30, source_count=6, scheme="none",
+                                  offered_load=15.0, duration=20.0))
+    result = run_scenario(cfg)
+    buffered = {pkt.id: pkt.hops for node in result.nodes
+                for pkt in node.cc.buffer}
+    in_flight = {r.id: r.hops for r in result.records if r.outcome == IN_FLIGHT}
+    assert in_flight and any(in_flight.values())
+    assert in_flight == {i: buffered[i] for i in in_flight}
+
+
 def test_single_source_under_capacity_delivers_everything():
     # 5 pps one hop from the sink: channel is far under capacity
     cfg = small_cfg(node_count=2, source_count=1, offered_load=5.0,
