@@ -24,6 +24,14 @@ def _splitmix64(z):
     return z ^ (z >> 31)
 
 
+def keyed_random(seed, receiver, frame):
+    """Uniform float in [0, 1), a pure function of (seed, receiver, frame):
+    counter-based, after Salmon et al. (SC 2011).  Frame and receiver enter in
+    separate mixing rounds, so neither can stand in for the other."""
+    z = _splitmix64(_splitmix64(_splitmix64(seed & _MASK64) ^ frame) ^ receiver)
+    return z / 18446744073709551616.0
+
+
 class RandomStream:
     """One independent deterministic random sequence per (seed, stream_id)."""
 

@@ -13,7 +13,7 @@ ACK = "ACK"
 
 class Frame:
     __slots__ = ("kind", "src", "dst", "size", "feedback", "data_id", "packet",
-                 "heard")
+                 "heard", "serial")
 
     def __init__(self, kind, src, dst, size, feedback=None, data_id=None, packet=None):
         self.kind = kind
@@ -24,6 +24,7 @@ class Frame:
         self.data_id = data_id
         self.packet = packet
         self.heard = False  # destination alive when the transmission started
+        self.serial = 0  # the run's attempt number, set when it starts
 
 
 def airtime_us(size_bytes, bit_rate):

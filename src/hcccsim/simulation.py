@@ -16,9 +16,9 @@ not sensed), ``rx_frame`` (the one reception still clean, if any) and
 period began, whose end event may still be queued).  A reception that starts
 while ``busy_until`` lies ahead overlaps one in progress, and both are lost.
 When a frame ends only its destination acts on it, plus, for an RTS carrying
-HCCC feedback, the sender's children; with a frame error rate above zero
-every clean receiver still takes its error draw, so the per-node random
-streams do not depend on who a frame is for.
+HCCC feedback, the sender's children.  On a lossy channel each of them takes
+a frame-error draw keyed by (run seed, receiver, attempt number), so no
+node's random stream depends on who a frame is for or what it overhears.
 
 Channel access works without per-slot polling: a node counts its backoff down
 in one scheduled wake-up and is frozen by any transmission it hears, resuming
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from . import congestion
 from .config import ScenarioConfig
 from .congestion import CongestionState
-from .engine import Engine, RandomStream
+from .engine import Engine, RandomStream, keyed_random
 from .mac import RTS, CTS, DATA, ACK, Frame, MacTiming, draw_backoff
 from .topology import build_topology
 from .traffic import (AimdSource, EnergyBook, Packet, PacketLog,
@@ -159,11 +159,8 @@ class Simulation:
             else:
                 r_init = cfg.r_cap
             cc = CongestionState(cfg.buffer_capacity, nominal_service, r_init)
-            w = float(cfg.w_max)
-            if w_override and spec.id in w_override:
-                w = float(w_override[spec.id])
-            node = Node(spec, stream, energy, cc, w)
-            nodes.append(node)
+            w = float((w_override or {}).get(spec.id, cfg.w_max))
+            nodes.append(Node(spec, stream, energy, cc, w))
         for node in nodes:
             node.neighbors = [nodes[j] for j in self.topology.adjacency[node.id]]
             nh = self.topology.next_hop[node.id]
@@ -228,23 +225,21 @@ class Simulation:
 
     def _start_tx(self, node, frame):
         now = self.engine.now
-        air = self.timing.airtime(frame.kind)
-        end = now + air
+        end = now + self.timing.airtime(frame.kind)
         if frame.kind == DATA:
             node.energy.charge_data()
             node.data_attempts += 1
             self.data_attempts += 1
-            if node.alive and node.energy.exhausted:
-                node.alive = False
-                node.death_time = now
         else:
             self.ctrl_attempts += 1
             node.energy.charge_control()
-            if node.energy.control_nj and node.alive and node.energy.exhausted:
-                node.alive = False
-                node.death_time = now
+        if (node.alive and node.energy.exhausted
+                and (frame.kind == DATA or node.energy.control_nj)):
+            node.alive = False
+            node.death_time = now
         node.tx_end = end
         frame.heard = self.nodes[frame.dst].alive
+        frame.serial = self.data_attempts + self.ctrl_attempts
         if node.phase == BACKOFF and node.counting and node.wake_time > now:
             self._freeze(node, now)
         for n in node.neighbors:
@@ -269,46 +264,36 @@ class Simulation:
         self.engine.schedule(end, self._tx_end, node, frame)
 
     def _tx_end(self, node, frame):
+        # Only the destination acts on a frame, and the sender's children on
+        # the feedback an RTS carries.
         dst = self.nodes[frame.dst]
-        fb = frame.feedback
         fer = self.timing.error_rate(frame.kind)
-        received = corrupted = False
-        if fer == 0.0:
-            # Only the destination acts on a frame, and the sender's children
-            # on the feedback an RTS carries.
-            received = dst.alive and (dst.rx_frame is frame
-                                      or dst.rx_prev is frame)
-            if fb is not None:
-                for n in node.children:
-                    if n.alive and (n.rx_frame is frame or n.rx_prev is frame):
-                        n.pending_feedback = fb
-        else:
-            # Every clean receiver takes its frame-error draw, so each node's
-            # stream advances the same whoever the frame is for.
-            for n in node.neighbors:
-                if n.alive and (n.rx_frame is frame or n.rx_prev is frame):
-                    if n.stream.random() < fer:
-                        if n is dst:
-                            corrupted = True
-                    elif n is dst:
-                        received = True
-                    elif fb is not None and n.next_hop is node:
-                        n.pending_feedback = fb
+        received = self._decoded(dst, frame, fer)
+        if frame.feedback is not None:
+            for n in node.children:
+                if self._decoded(n, frame, fer):
+                    n.pending_feedback = frame.feedback
         if received:
             self._on_frame(dst, frame)
         if self.cfg.trace_mac:
             if received:
                 outcome = "ok"
-            elif corrupted:
-                outcome = "corrupted"
             elif not frame.heard:
                 outcome = "no_receiver"
             elif not dst.alive:
                 outcome = "dead_receiver"
+            elif dst.rx_frame is frame or dst.rx_prev is frame:
+                outcome = "corrupted"
             else:
                 outcome = "collided"
             self.mac_trace.append((self.engine.now, node.id, frame.kind,
                                    frame.dst, outcome))
+
+    def _decoded(self, n, frame, fer):
+        """n is alive, heard the frame clean and its keyed error draw spares it."""
+        return (n.alive and (n.rx_frame is frame or n.rx_prev is frame)
+                and not (fer and keyed_random(self.cfg.seed, n.id,
+                                              frame.serial) < fer))
 
     # ---- backoff --------------------------------------------------------
 

@@ -7,7 +7,9 @@ A frame from s to d on the air over [t0, t1) is clean at d if and only if:
   * no other frame from a neighbour of d overlaps [t0, t1), half-open.
 A dead destination at the start gives ``no_receiver``, one that died on the
 air ``dead_receiver``, a frame that is not clean ``collided``.  A clean frame
-is ``ok``, or ``corrupted`` on a lossy channel.
+is ``corrupted`` if and only if the frame-error draw keyed by (run seed,
+destination, attempt number) falls below the frame's error rate, else ``ok``.
+The attempt number counts the run's frames from 1 in start order.
 
 Instants are ordered by the trace itself: rows are appended in the order the
 events run, and a node dies only as it starts its own last frame, so "before
@@ -22,6 +24,7 @@ from collections import Counter, deque
 import pytest
 
 from hcccsim.config import ScenarioConfig, validate
+from hcccsim.engine import keyed_random
 from hcccsim.mac import MacTiming
 from hcccsim.simulation import Simulation
 
@@ -29,10 +32,11 @@ from test_golden import SCENARIOS, golden_run
 
 
 class Tx:
-    __slots__ = ("row", "t0", "t1", "src", "kind", "dst", "end_row", "outcome")
+    __slots__ = ("serial", "row", "t0", "t1", "src", "kind", "dst", "end_row",
+                 "outcome")
 
-    def __init__(self, row, t0, t1, src, kind, dst):
-        self.row, self.t0, self.t1 = row, t0, t1
+    def __init__(self, serial, row, t0, t1, src, kind, dst):
+        self.serial, self.row, self.t0, self.t1 = serial, row, t0, t1
         self.src, self.kind, self.dst = src, kind, dst
         self.end_row = self.outcome = None
 
@@ -44,7 +48,8 @@ def transmissions(trace, timing):
     on_air = {}
     for row, (t, src, kind, dst, event) in enumerate(trace):
         if event == "tx_start":
-            tx = Tx(row, t, t + timing.airtime(kind), src, kind, dst)
+            tx = Tx(len(frames) + 1, row, t, t + timing.airtime(kind), src,
+                    kind, dst)
             frames.append(tx)
             on_air.setdefault(src, deque()).append(tx)
         else:
@@ -56,9 +61,9 @@ def transmissions(trace, timing):
 
 def audit(sim):
     """[(trace row, traced outcome, predicted outcome)] for every finished
-    frame whose traced outcome differs from the rule; clean frames are
-    predicted as "clean", matching a traced ok or corrupted."""
-    frames = transmissions(sim.mac_trace, MacTiming(sim.cfg))
+    frame whose traced outcome differs from the rule."""
+    timing = MacTiming(sim.cfg)
+    frames = transmissions(sim.mac_trace, timing)
     n = len(sim.nodes)
     starts = [[] for _ in range(n)]
     ends = [[] for _ in range(n)]
@@ -101,10 +106,12 @@ def audit(sim):
             predicted = "dead_receiver"
         elif transmitting(d, tx) or overlapped(d, tx):
             predicted = "collided"
+        elif (keyed_random(sim.cfg.seed, d, tx.serial)
+              < timing.error_rate(tx.kind)):
+            predicted = "corrupted"
         else:
-            predicted = "clean"
-        traced = "clean" if tx.outcome in ("ok", "corrupted") else tx.outcome
-        if traced != predicted:
+            predicted = "ok"
+        if tx.outcome != predicted:
             mismatches.append((tx.end_row, tx.outcome, predicted))
     return mismatches
 
@@ -168,5 +175,4 @@ def test_audit_flags_a_changed_outcome():
         broken = copy.copy(sim)
         broken.mac_trace = list(sim.mac_trace)
         broken.mac_trace[i] = sim.mac_trace[i][:4] + (swapped,)
-        predicted = "clean" if event == "ok" else event
-        assert audit(broken) == [(i, swapped, predicted)]
+        assert audit(broken) == [(i, swapped, event)]

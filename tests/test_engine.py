@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hcccsim.engine import Engine, RandomStream, SchedulingError
+from hcccsim.engine import Engine, RandomStream, SchedulingError, keyed_random
 
 
 def test_schedule_at_current_time_dispatches():
@@ -125,3 +125,31 @@ def test_random_unit_interval():
     vals = [s.random() for _ in range(1000)]
     assert all(0.0 <= v < 1.0 for v in vals)
     assert 0.4 < sum(vals) / len(vals) < 0.6
+
+
+def test_keyed_random_is_a_pure_function_of_its_key():
+    assert keyed_random(3, 5, 7) == keyed_random(3, 5, 7)
+    assert 0.0 <= keyed_random(3, 5, 7) < 1.0
+    assert len({keyed_random(3, 5, 7), keyed_random(4, 5, 7),
+                keyed_random(3, 7, 5), keyed_random(3, 5, 8),
+                keyed_random(3, 6, 7)}) == 5
+
+
+def test_keyed_random_hits_and_neighbouring_keys_within_5_sigma():
+    # 200 k keys (100 receivers x 2000 frames) at p = 0.2.  The hit fraction
+    # must lie within 5 binomial sigmas of p (+-0.0045), and the pairs
+    # (r, k), (r, k + 1) and (r, k), (r + 1, k) must both hit with frequency
+    # p^2 within 5 sigmas, so neighbouring keys are not correlated.
+    p = 0.2
+    hit = [[keyed_random(11, r, k) < p for k in range(1, 2001)]
+           for r in range(100)]
+
+    def within_5_sigma(events, q):
+        n = len(events)
+        assert abs(sum(events) / n - q) <= 5 * math.sqrt(q * (1 - q) / n)
+
+    within_5_sigma([h for row in hit for h in row], p)
+    within_5_sigma([a and b for row in hit for a, b in zip(row, row[1:])],
+                   p * p)
+    within_5_sigma([a and b for r0, r1 in zip(hit, hit[1:])
+                    for a, b in zip(r0, r1)], p * p)

@@ -27,8 +27,9 @@ DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "golden", "digests.json")
 
 # Together the scenarios reach every scheme, Poisson traffic, frame and bit
-# errors (per-receiver draws, feedback decoded after a draw), energy deaths
-# (no_receiver outcomes, control-frame energy) and both averaging variants.
+# errors (keyed draws at the destination and at the children decoding an
+# RTS's feedback), energy deaths (no_receiver outcomes, control-frame energy)
+# and both averaging variants.
 SCENARIOS = {
     "hccc": dict(scheme="hccc", duration=40.0, warmup=10.0),
     "none_saturated": dict(scheme="none", offered_load=15.0, duration=10.0,
