@@ -12,17 +12,17 @@ ACK = "ACK"
 
 
 class Frame:
-    __slots__ = ("kind", "src", "dst", "size", "feedback", "data_id", "packet",
-                 "heard", "serial")
+    """One transmission.  Its airtime follows from ``kind``; ``data_id`` is
+    the packet the exchange is about, its PacketLog row number."""
 
-    def __init__(self, kind, src, dst, size, feedback=None, data_id=None, packet=None):
+    __slots__ = ("kind", "src", "dst", "feedback", "data_id", "heard", "serial")
+
+    def __init__(self, kind, src, dst, feedback=None, data_id=None):
         self.kind = kind
         self.src = src
         self.dst = dst
-        self.size = size
         self.feedback = feedback  # only RTS carries feedback
         self.data_id = data_id
-        self.packet = packet
         self.heard = False  # destination alive when the transmission started
         self.serial = 0  # the run's attempt number, set when it starts
 

@@ -25,6 +25,10 @@ in one scheduled wake-up and is frozen by any transmission it hears, resuming
 one DIFS (plus a small desynchronisation jitter) after the medium clears.
 The DIFS-after-busy rule is also what protects SIFS-separated frames of an
 ongoing exchange from being trampled by waiting contenders.
+
+A packet is its row number in the run's ``PacketLog``: node buffers,
+``Node.last_accepted`` and ``Frame.data_id`` hold that int, and the log's
+columns (origin, seq, hop count) are all the state a packet has.
 """
 
 import math
@@ -36,7 +40,7 @@ from .congestion import CongestionState
 from .engine import Engine, RandomStream, keyed_random
 from .mac import RTS, CTS, DATA, ACK, Frame, MacTiming, draw_backoff
 from .topology import build_topology
-from .traffic import (AimdSource, EnergyBook, Packet, PacketLog,
+from .traffic import (AimdSource, EnergyBook, PacketLog,
                       DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED)
 
 # MAC phases
@@ -382,11 +386,10 @@ class Simulation:
         if self.check_carrier:
             assert not self._sensed_busy(node, now), \
                 "node %d transmitting into a busy medium at t=%d" % (node.id, now)
-        head = node.cc.buffer[0]
         feedback = (congestion.generate_feedback(node.cc, self.cfg, node.id)
                     if self.is_hccc else None)
-        frame = Frame(RTS, node.id, node.next_hop.id, self.cfg.control_size,
-                      feedback, head.id, head)
+        frame = Frame(RTS, node.id, node.next_hop.id, feedback,
+                      node.cc.buffer[0])
         node.phase = AWAIT_CTS
         self._start_tx(node, frame)
         node.epoch += 1
@@ -396,8 +399,8 @@ class Simulation:
     def _tx_cts(self, node, rts_frame):
         if not node.alive or node.tx_end > self.engine.now:
             return
-        self._start_tx(node, Frame(CTS, node.id, rts_frame.src,
-                                   self.cfg.control_size, None, rts_frame.data_id))
+        self._start_tx(node, Frame(CTS, node.id, rts_frame.src, None,
+                                   rts_frame.data_id))
 
     def _tx_data(self, node):
         if node.phase != SENDING or not node.alive:
@@ -406,9 +409,7 @@ class Simulation:
         if node.tx_end > now:
             self._retry(node)
             return
-        head = node.cc.buffer[0]
-        frame = Frame(DATA, node.id, node.next_hop.id, self.cfg.packet_size,
-                      None, head.id, head)
+        frame = Frame(DATA, node.id, node.next_hop.id, None, node.cc.buffer[0])
         node.phase = AWAIT_ACK
         self._start_tx(node, frame)
         node.epoch += 1
@@ -418,8 +419,8 @@ class Simulation:
     def _tx_ack(self, node, data_frame):
         if not node.alive or node.tx_end > self.engine.now:
             return
-        self._start_tx(node, Frame(ACK, node.id, data_frame.src,
-                                   self.cfg.control_size, None, data_frame.data_id))
+        self._start_tx(node, Frame(ACK, node.id, data_frame.src, None,
+                                   data_frame.data_id))
 
     def _cts_timeout(self, node, epoch):
         if epoch != node.epoch or node.phase != AWAIT_CTS:
@@ -440,8 +441,7 @@ class Simulation:
         if node.retries > self.timing.retry_limit:
             pkt = node.cc.buffer.popleft()
             node.removed += 1
-            if self.log.finish(pkt.id, MAC_RETRY_EXHAUSTED, self.engine.now,
-                               pkt.hops):
+            if self.log.finish(pkt, MAC_RETRY_EXHAUSTED, self.engine.now):
                 self.mac_drops += 1
             node.phase = IDLE
             self._start_access(node)
@@ -482,39 +482,41 @@ class Simulation:
                 self.engine.schedule(now + t.sifs, self._tx_cts, node, frame)
         elif kind == CTS:
             if (node.phase == AWAIT_CTS and node.cc.buffer
-                    and frame.data_id == node.cc.buffer[0].id):
+                    and frame.data_id == node.cc.buffer[0]):
                 node.epoch += 1
                 node.phase = SENDING
                 self.engine.schedule(now + self.timing.sifs, self._tx_data, node)
         elif kind == DATA:
             self.engine.schedule(now + self.timing.sifs, self._tx_ack,
                                  node, frame)
-            if node.last_accepted.get(frame.src) == frame.data_id:
+            pkt = frame.data_id
+            if node.last_accepted.get(frame.src) == pkt:
                 return
-            node.last_accepted[frame.src] = frame.data_id
-            pkt = frame.packet
-            pkt.hops += 1
+            node.last_accepted[frame.src] = pkt
+            if not self.log.outcome[pkt]:
+                self.log.hops[pkt] += 1
             if node.id == 0:
                 self._deliver_at_sink(pkt, now)
             else:
                 self._admit(node, pkt)
         elif kind == ACK:
             if (node.phase == AWAIT_ACK and node.cc.buffer
-                    and frame.data_id == node.cc.buffer[0].id):
+                    and frame.data_id == node.cc.buffer[0]):
                 node.epoch += 1
                 self._complete_send(node)
 
     def _deliver_at_sink(self, pkt, now):
-        if self.log.finish(pkt.id, DELIVERED, now, pkt.hops):
+        if self.log.finish(pkt, DELIVERED, now):
             self.delivered += 1
         if self.is_aimd:
-            expected = self.sink_expected.get(pkt.origin, 0)
-            if pkt.seq > expected:
-                src = self.nodes[pkt.origin]
+            origin, seq = self.log.origin[pkt], self.log.seq[pkt]
+            expected = self.sink_expected.get(origin, 0)
+            if seq > expected:
+                src = self.nodes[origin]
                 if src.aimd is not None and src.alive:
                     src.aimd.on_loss_signal(now)
-            if pkt.seq >= expected:
-                self.sink_expected[pkt.origin] = pkt.seq + 1
+            if seq >= expected:
+                self.sink_expected[origin] = seq + 1
 
     def _admit(self, node, pkt):
         now = self.engine.now
@@ -526,16 +528,15 @@ class Simulation:
             node.admitted += 1
             self._start_access(node)
         else:
-            if self.log.finish(pkt.id, BUFFER_OVERFLOW, now, pkt.hops):
+            if self.log.finish(pkt, BUFFER_OVERFLOW, now):
                 self.overflow_drops += 1
 
     # ---- traffic --------------------------------------------------------
 
     def _new_packet(self, node):
-        """Generate the node's next packet now and log it as in flight."""
-        seq = node.gen_seq
+        """Generate the node's next packet now; returns its in-flight log row."""
         node.gen_seq += 1
-        return Packet(self.log.add(node.id, seq, self.engine.now), node.id, seq)
+        return self.log.add(node.id, node.gen_seq - 1, self.engine.now)
 
     def _on_generate(self, node):
         if not node.alive:
@@ -584,12 +585,6 @@ class Simulation:
         # The events queued past the horizon hold bound methods of this
         # Simulation; dropping them lets reference counting free the run.
         self.engine.clear()
-        # A packet's hop count reaches the log when it ends; write it now
-        # for the packets still in a buffer.
-        for node in self.nodes:
-            for pkt in node.cc.buffer:
-                if not self.log.outcome[pkt.id]:
-                    self.log.hops[pkt.id] = pkt.hops
 
         total_initial = sum(n.energy.initial_nj for n in self.nodes)
         total_remaining = sum(n.energy.remaining_nj for n in self.nodes)

@@ -5,8 +5,9 @@ Energy is stored in integer nanojoules so the conservation identity
 A node whose remaining energy drops below the per-packet cost is dead: it
 stops generating, forwarding and responding.
 
-Every generated packet gets one row in a ``PacketLog``: a fixed-width column
-per field, about 30 bytes a packet, with the packet id as the row number.
+Every generated packet is one row of a ``PacketLog``: a fixed-width column
+per field, about 30 bytes a packet.  The row number is the packet: buffers
+and DATA frames carry it, and no other packet object exists.
 """
 
 from array import array
@@ -56,19 +57,6 @@ class EnergyBook:
         return self.initial_nj - self.remaining_nj
 
 
-class Packet:
-    """One data packet travelling toward the sink; its PacketLog row has
-    the creation time and, once it ends, the outcome."""
-
-    __slots__ = ("id", "origin", "seq", "hops")
-
-    def __init__(self, pkt_id, origin, seq):
-        self.id = pkt_id
-        self.origin = origin
-        self.seq = seq
-        self.hops = 0
-
-
 PacketRow = namedtuple(
     "PacketRow", "id origin seq created_us outcome end_us hops")
 
@@ -102,13 +90,13 @@ class PacketLog:
         self.hops.append(0)
         return len(self.outcome) - 1
 
-    def finish(self, pkt_id, outcome, end_us, hops):
-        """Assign the terminal outcome; returns False if one was already set."""
+    def finish(self, pkt_id, outcome, end_us):
+        """Set the terminal outcome and end time, not the hop count;
+        returns False if an outcome was already set."""
         if self.outcome[pkt_id]:
             return False
         self.outcome[pkt_id] = OUTCOME_CODE[outcome]
         self.end_us[pkt_id] = end_us
-        self.hops[pkt_id] = hops
         return True
 
     def __len__(self):

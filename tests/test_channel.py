@@ -21,7 +21,7 @@ def star_topology():
 def send_at(sim, t, src, dst, kind=CTS):
     """Queue a transmission of a bare control frame; CTS/ACK frames that
     match no pending exchange have no effect at their destination."""
-    frame = Frame(kind, src, dst, sim.cfg.control_size)
+    frame = Frame(kind, src, dst)
     sim.engine.schedule(t, sim._start_tx, sim.nodes[src], frame)
 
 
@@ -159,7 +159,7 @@ def test_frame_error_outcome_is_the_same_whatever_the_destination():
         for k in range(200):
             t = 1000 * k
             sim.engine.schedule(t, sim._start_tx, sim.nodes[1],
-                                Frame(CTS, 1, dst, cfg.control_size,
+                                Frame(CTS, 1, dst,
                                       feedback if dst == 0 else None))
             sim.engine.run_until(t + 500)
             if dst == 2:

@@ -142,7 +142,7 @@ def test_carrier_sense_boundary():
     # 20-byte control frames at 16 Mbps: node 0 is on air over [0, 10) us
     cfg = small_cfg(bit_rate=16_000_000.0)
     sim = Simulation(cfg, topology=two_node_topology())
-    sim._start_tx(sim.nodes[0], Frame(CTS, 0, 1, cfg.control_size))
+    sim._start_tx(sim.nodes[0], Frame(CTS, 0, 1))
     sim.engine.now = 5
     assert sim.carrier_busy(1)
     sim.engine.now = 10   # transmission finished this very microsecond

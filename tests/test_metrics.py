@@ -19,7 +19,7 @@ def log_of(recs):
     for origin, seq, created, outcome, end in recs:
         pkt_id = log.add(origin, seq, created)
         if outcome is not None:
-            log.finish(pkt_id, outcome, end, 0)
+            log.finish(pkt_id, outcome, end)
     return log
 
 

@@ -86,8 +86,9 @@ def build(rows):
     log = PacketLog()
     for origin, seq, created, outcome, end, hops in rows:
         pkt_id = log.add(origin, seq, created)
+        log.hops[pkt_id] = hops
         if outcome is not None:
-            log.finish(pkt_id, outcome, end, hops)
+            log.finish(pkt_id, outcome, end)
     return log
 
 

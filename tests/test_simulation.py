@@ -21,6 +21,8 @@ from hcccsim.simulation import Simulation, run_scenario
 from hcccsim.traffic import DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED, IN_FLIGHT
 
 from conftest import inject_packet, make_topology, small_cfg, two_node_topology
+from test_channel_audit import short_run
+from test_golden import golden_run
 
 
 def mid_cfg(**overrides):
@@ -149,15 +151,36 @@ def test_packet_accounting_takes_few_bytes_per_packet():
     assert 16 * result.generated <= freed <= 64 * result.generated
 
 
+def hop_mismatches(sim):
+    """Rows whose hop count disagrees with the static routes.  A delivered
+    packet took hop_count[origin] hops; one in flight took as many as lie
+    between its origin and the node furthest along that holds it (a packet
+    whose ACK was lost is held by both the sender and the receiver)."""
+    hop_count = sim.topology.hop_count
+    holders = {}
+    for node in sim.nodes:
+        for pkt in node.cc.buffer:
+            holders.setdefault(pkt, []).append(hop_count[node.id])
+    bad = []
+    for r in sim.log:
+        if r.outcome == DELIVERED:
+            expect = hop_count[r.origin]
+        elif r.outcome == IN_FLIGHT:
+            expect = hop_count[r.origin] - min(holders[r.id])
+        else:
+            continue
+        if r.hops != expect:
+            bad.append((r.id, r.outcome, r.hops, expect))
+    return bad
+
+
 def test_in_flight_rows_carry_the_buffered_hop_count():
-    cfg = validate(ScenarioConfig(node_count=30, source_count=6, scheme="none",
-                                  offered_load=15.0, duration=20.0))
-    result = run_scenario(cfg)
-    buffered = {pkt.id: pkt.hops for node in result.nodes
-                for pkt in node.cc.buffer}
-    in_flight = {r.id: r.hops for r in result.records if r.outcome == IN_FLIGHT}
-    assert in_flight and any(in_flight.values())
-    assert in_flight == {i: buffered[i] for i in in_flight}
+    sims = [golden_run(name)[1] for name in ("hccc", "none_saturated",
+                                               "hccc_lossy")]
+    sims += [short_run(name) for name in ("aimd_e2e_lossy", "none_dying")]
+    for sim in sims:
+        assert any(r.hops for r in sim.log if r.outcome == IN_FLIGHT)
+        assert hop_mismatches(sim) == []
 
 
 def test_single_source_under_capacity_delivers_everything():

@@ -44,8 +44,9 @@ def test_packet_record_single_terminal_outcome():
     log = PacketLog()
     pkt_id = log.add(1, 0, 100)
     assert log[pkt_id].outcome == IN_FLIGHT
-    assert log.finish(pkt_id, DELIVERED, 5000, hops=3) is True
-    assert log.finish(pkt_id, "buffer_overflow", 6000, 0) is False
+    log.hops[pkt_id] = 3
+    assert log.finish(pkt_id, DELIVERED, 5000) is True
+    assert log.finish(pkt_id, "buffer_overflow", 6000) is False
     rec = log[pkt_id]
     assert rec.outcome == DELIVERED
     assert rec.end_us == 5000
