@@ -137,12 +137,13 @@ class RunResult:
 class Simulation:
     """One deterministic run of a scenario.
 
-    topology may be supplied explicitly (tests build hand-crafted fixtures);
-    w_override pins per-node contention windows, which the baseline schemes
-    never touch.
+    topology may be supplied explicitly (tests build hand-crafted fixtures).
+    Every node starts with the window w_max; a test may set ``nodes[i].w``
+    before ``run()``, and the baseline schemes never change it.
+    check_carrier asserts that no RTS goes out into a sensed-busy medium.
     """
 
-    def __init__(self, cfg, topology=None, w_override=None, check_carrier=False):
+    def __init__(self, cfg, topology=None, check_carrier=False):
         self.cfg = cfg
         self.engine = Engine()
         self.timing = MacTiming(cfg)
@@ -163,8 +164,7 @@ class Simulation:
             else:
                 r_init = cfg.r_cap
             cc = CongestionState(cfg.buffer_capacity, nominal_service, r_init)
-            w = float((w_override or {}).get(spec.id, cfg.w_max))
-            nodes.append(Node(spec, stream, energy, cc, w))
+            nodes.append(Node(spec, stream, energy, cc, float(cfg.w_max)))
         for node in nodes:
             node.neighbors = [nodes[j] for j in self.topology.adjacency[node.id]]
             nh = self.topology.next_hop[node.id]
@@ -609,6 +609,5 @@ class Simulation:
         )
 
 
-def run_scenario(cfg, topology=None, w_override=None, check_carrier=False):
-    return Simulation(cfg, topology=topology, w_override=w_override,
-                      check_carrier=check_carrier).run()
+def run_scenario(cfg, topology=None, check_carrier=False):
+    return Simulation(cfg, topology=topology, check_carrier=check_carrier).run()

@@ -14,7 +14,7 @@ from hcccsim import cli, congestion, metrics
 from hcccsim.config import ScenarioConfig, validate
 from hcccsim.congestion import CongestionState
 from hcccsim.engine import RandomStream
-from hcccsim.simulation import run_scenario
+from hcccsim.simulation import Simulation, run_scenario
 from hcccsim.traffic import DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED, IN_FLIGHT
 
 from conftest import contention_topology
@@ -127,9 +127,9 @@ def test_acceptance_3_delay_grows_with_window():
     for w in WINDOWS:
         per_seed = []
         for seed in SEEDS:
-            result = run_scenario(saturated_cfg(seed),
-                                  topology=contention_topology(),
-                                  w_override={1: w, 2: w})
+            sim = Simulation(saturated_cfg(seed), topology=contention_topology())
+            sim.nodes[1].w = sim.nodes[2].w = float(w)
+            result = sim.run()
             total = sum(n.access_delay_sum for n in result.nodes[1:])
             count = sum(n.access_delay_n for n in result.nodes[1:])
             assert count > 0
@@ -148,9 +148,9 @@ def test_acceptance_4_forwarding_rate_falls_with_own_window():
     for w in WINDOWS:
         per_seed = []
         for seed in SEEDS:
-            result = run_scenario(saturated_cfg(seed),
-                                  topology=contention_topology(),
-                                  w_override={1: w, 2: 15})
+            sim = Simulation(saturated_cfg(seed), topology=contention_topology())
+            sim.nodes[1].w, sim.nodes[2].w = float(w), 15.0
+            result = sim.run()
             per_seed.append(result.nodes[1].delivered_fwd / 5.0)
         mean_rate.append(sum(per_seed) / len(per_seed))
     rho = spearmanr(WINDOWS, mean_rate).statistic

@@ -63,7 +63,8 @@ def test_draw_backoff_fractional_window():
 def test_uncontended_exchange_timing():
     # source one hop from the sink, W=1, no jitter: delivery time is closed form
     cfg = small_cfg(node_count=2, source_count=1)
-    sim = Simulation(cfg, topology=two_node_topology(), w_override={1: 1})
+    sim = Simulation(cfg, topology=two_node_topology())
+    sim.nodes[1].w = 1.0
     inject_packet(sim, sim.nodes[1])
     result = sim.run()
     assert result.delivered == 1
@@ -82,8 +83,8 @@ def test_simultaneous_rts_collide_forever_without_jitter():
     # W=1 and zero jitter: both senders start every attempt in the same
     # microsecond, so every RTS collides until the retry limit fires.
     cfg = small_cfg()
-    sim = Simulation(cfg, topology=contention_topology(),
-                     w_override={1: 1, 2: 1})
+    sim = Simulation(cfg, topology=contention_topology())
+    sim.nodes[1].w = sim.nodes[2].w = 1.0
     inject_packet(sim, sim.nodes[1])
     inject_packet(sim, sim.nodes[2])
     result = sim.run()
@@ -93,8 +94,8 @@ def test_simultaneous_rts_collide_forever_without_jitter():
 
 def test_access_jitter_breaks_the_tie():
     cfg = small_cfg(access_jitter_us=1000)
-    sim = Simulation(cfg, topology=contention_topology(),
-                     w_override={1: 1, 2: 1})
+    sim = Simulation(cfg, topology=contention_topology())
+    sim.nodes[1].w = sim.nodes[2].w = 1.0
     inject_packet(sim, sim.nodes[1])
     inject_packet(sim, sim.nodes[2])
     result = sim.run()
@@ -106,8 +107,8 @@ def test_hidden_terminal_collision_at_receiver():
     # senders out of each other's range: carrier sense cannot see the
     # conflict and the symmetric schedules collide at the sink every time
     cfg = small_cfg(trace_mac=True)
-    sim = Simulation(cfg, topology=hidden_terminal_topology(),
-                     w_override={1: 1, 2: 1})
+    sim = Simulation(cfg, topology=hidden_terminal_topology())
+    sim.nodes[1].w = sim.nodes[2].w = 1.0
     inject_packet(sim, sim.nodes[1])
     inject_packet(sim, sim.nodes[2])
     result = sim.run()
@@ -118,7 +119,8 @@ def test_hidden_terminal_collision_at_receiver():
 
 def test_heavy_frame_errors_exhaust_retries():
     cfg = small_cfg(node_count=2, source_count=1, frame_error_rate=0.99)
-    sim = Simulation(cfg, topology=two_node_topology(), w_override={1: 1})
+    sim = Simulation(cfg, topology=two_node_topology())
+    sim.nodes[1].w = 1.0
     inject_packet(sim, sim.nodes[1])
     result = sim.run()
     assert result.mac_drops == 1
@@ -127,7 +129,8 @@ def test_heavy_frame_errors_exhaust_retries():
 
 def test_dead_receiver_gives_cts_timeouts():
     cfg = small_cfg(node_count=2, source_count=1, trace_mac=True)
-    sim = Simulation(cfg, topology=two_node_topology(), w_override={1: 1})
+    sim = Simulation(cfg, topology=two_node_topology())
+    sim.nodes[1].w = 1.0
     sim.nodes[0].alive = False
     inject_packet(sim, sim.nodes[1])
     result = sim.run()
