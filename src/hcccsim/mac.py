@@ -42,7 +42,7 @@ class MacTiming:
 
     __slots__ = ("slot", "sifs", "difs", "retry_limit", "jitter_max",
                  "ctrl_air", "data_air", "cts_timeout", "ack_timeout",
-                 "ctrl_fer", "data_fer", "exchange_us")
+                 "ctrl_fer", "data_fer")
 
     def __init__(self, cfg):
         self.slot = cfg.slot_us
@@ -59,8 +59,6 @@ class MacTiming:
                                                 cfg.bit_error_rate, cfg.control_size)
         self.data_fer = frame_error_probability(cfg.frame_error_rate,
                                                 cfg.bit_error_rate, cfg.packet_size)
-        # Full uncontended RTS/CTS/DATA/ACK exchange with SIFS gaps.
-        self.exchange_us = 3 * self.sifs + 3 * self.ctrl_air + self.data_air
 
     def airtime(self, kind):
         return self.data_air if kind == DATA else self.ctrl_air

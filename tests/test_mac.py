@@ -27,7 +27,6 @@ def test_frame_error_probability():
 def test_timing_block():
     t = MacTiming(small_cfg())
     assert t.ctrl_air == 160 and t.data_air == 1600
-    assert t.exchange_us == 3 * 200 + 3 * 160 + 1600 == 2680
     assert t.cts_timeout == 160 + 200 + 160 + 1000
     assert t.ack_timeout == 1600 + 200 + 160 + 1000
 
