@@ -441,7 +441,11 @@ class Simulation:
         if node.retries > self.timing.retry_limit:
             pkt = node.cc.buffer.popleft()
             node.removed += 1
-            if self.log.finish(pkt, MAC_RETRY_EXHAUSTED, self.engine.now):
+            # If the next hop accepted the DATA frame, only its ACKs were
+            # lost: the packet travels on from there.
+            if (node.next_hop.last_accepted.get(node.id) != pkt
+                    and self.log.finish(pkt, MAC_RETRY_EXHAUSTED,
+                                        self.engine.now)):
                 self.mac_drops += 1
             node.phase = IDLE
             self._start_access(node)
@@ -493,8 +497,7 @@ class Simulation:
             if node.last_accepted.get(frame.src) == pkt:
                 return
             node.last_accepted[frame.src] = pkt
-            if not self.log.outcome[pkt]:
-                self.log.hops[pkt] += 1
+            self.log.hops[pkt] += 1
             if node.id == 0:
                 self._deliver_at_sink(pkt, now)
             else:

@@ -333,3 +333,19 @@ def test_only_hccc_calls_the_traced_congestion_functions(monkeypatch):
     assert totals["none"] == 0
     assert totals["aimd_e2e"] == 0
     assert totals["hccc"] > 0
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_packet_the_next_hop_accepted_is_not_a_mac_drop(seed):
+    # When every ACK of a DATA frame the next hop accepted is lost, the
+    # sender gives up, but the packet travels on from the next hop: its row
+    # must not end as a MAC drop while a buffer still holds it.
+    cfg = validate(ScenarioConfig(scheme="aimd_e2e", traffic="poisson",
+                                  frame_error_rate=0.1, duration=20.0,
+                                  seed=seed))
+    result = run_scenario(cfg)
+    held = {pkt for node in result.nodes for pkt in node.cc.buffer}
+    dropped_but_held = [pkt for pkt in held
+                        if result.records[pkt].outcome == MAC_RETRY_EXHAUSTED]
+    assert result.mac_drops > 0
+    assert dropped_but_held == []
