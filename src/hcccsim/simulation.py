@@ -538,8 +538,9 @@ class Simulation:
 
     def _new_packet(self, node):
         """Generate the node's next packet now; returns its in-flight log row."""
+        seq = node.gen_seq
         node.gen_seq += 1
-        return self.log.add(node.id, node.gen_seq - 1, self.engine.now)
+        return self.log.add(node.id, seq, self.engine.now)
 
     def _on_generate(self, node):
         if not node.alive:
