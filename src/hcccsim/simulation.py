@@ -40,7 +40,7 @@ from .congestion import CongestionState
 from .engine import Engine, RandomStream, keyed_random
 from .mac import RTS, CTS, DATA, ACK, Frame, MacTiming, draw_backoff
 from .topology import build_topology
-from .traffic import (AimdSource, EnergyBook, PacketLog,
+from .traffic import (AimdSource, EnergyBook, PacketLog, OUTCOME_CODE,
                       DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED)
 
 # MAC phases
@@ -62,8 +62,9 @@ class Node:
         "children", "tx_end", "busy_until", "busy_since", "rx_frame", "rx_prev",
         "responding_until",
         "pending_feedback", "last_accepted", "gen_seq",
-        "delivered_fwd", "access_delay_sum", "access_delay_n",
-        "data_attempts", "admitted", "removed",
+        "access_delay_sum",
+        "access_delay_n",       # also the number of packets forwarded
+        "admitted", "removed",
     )
 
     def __init__(self, spec, stream, energy, cc, w):
@@ -98,10 +99,8 @@ class Node:
         self.pending_feedback = None
         self.last_accepted = {}
         self.gen_seq = 0
-        self.delivered_fwd = 0
         self.access_delay_sum = 0
         self.access_delay_n = 0
-        self.data_attempts = 0
         self.admitted = 0
         self.removed = 0
 
@@ -109,7 +108,9 @@ class Node:
 @dataclass
 class RunResult:
     """What one run leaves behind.  ``records`` is the run's PacketLog: one
-    row per generated packet, the packet id being the row number."""
+    row per generated packet, the packet id being the row number.
+    ``delivered``, ``overflow_drops`` and ``mac_drops`` are the log's
+    outcome counts at the end of the run."""
 
     config: ScenarioConfig
     topology: object
@@ -182,9 +183,6 @@ class Simulation:
         self.sink_expected = {}
 
         self.log = PacketLog()
-        self.delivered = 0
-        self.overflow_drops = 0
-        self.mac_drops = 0
         self.data_attempts = 0
         self.ctrl_attempts = 0
         self.rate_samples = []
@@ -232,7 +230,6 @@ class Simulation:
         end = now + self.timing.airtime(frame.kind)
         if frame.kind == DATA:
             node.energy.charge_data()
-            node.data_attempts += 1
             self.data_attempts += 1
         else:
             self.ctrl_attempts += 1
@@ -443,10 +440,8 @@ class Simulation:
             node.removed += 1
             # If the next hop accepted the DATA frame, only its ACKs were
             # lost: the packet travels on from there.
-            if (node.next_hop.last_accepted.get(node.id) != pkt
-                    and self.log.finish(pkt, MAC_RETRY_EXHAUSTED,
-                                        self.engine.now)):
-                self.mac_drops += 1
+            if node.next_hop.last_accepted.get(node.id) != pkt:
+                self.log.finish(pkt, MAC_RETRY_EXHAUSTED, self.engine.now)
             node.phase = IDLE
             self._start_access(node)
             return
@@ -464,7 +459,6 @@ class Simulation:
         else:
             node.cc.buffer.popleft()
         node.removed += 1
-        node.delivered_fwd += 1
         node.access_delay_sum += now - node.access_started_at
         node.access_delay_n += 1
         node.phase = IDLE
@@ -509,8 +503,7 @@ class Simulation:
                 self._complete_send(node)
 
     def _deliver_at_sink(self, pkt, now):
-        if self.log.finish(pkt, DELIVERED, now):
-            self.delivered += 1
+        self.log.finish(pkt, DELIVERED, now)
         if self.is_aimd:
             origin, seq = self.log.origin[pkt], self.log.seq[pkt]
             expected = self.sink_expected.get(origin, 0)
@@ -531,8 +524,7 @@ class Simulation:
             node.admitted += 1
             self._start_access(node)
         else:
-            if self.log.finish(pkt, BUFFER_OVERFLOW, now):
-                self.overflow_drops += 1
+            self.log.finish(pkt, BUFFER_OVERFLOW, now)
 
     # ---- traffic --------------------------------------------------------
 
@@ -592,14 +584,15 @@ class Simulation:
 
         total_initial = sum(n.energy.initial_nj for n in self.nodes)
         total_remaining = sum(n.energy.remaining_nj for n in self.nodes)
+        count = self.log.outcome.count
         return RunResult(
             config=cfg,
             topology=self.topology,
             records=self.log,
             generated=len(self.log),
-            delivered=self.delivered,
-            overflow_drops=self.overflow_drops,
-            mac_drops=self.mac_drops,
+            delivered=count(OUTCOME_CODE[DELIVERED]),
+            overflow_drops=count(OUTCOME_CODE[BUFFER_OVERFLOW]),
+            mac_drops=count(OUTCOME_CODE[MAC_RETRY_EXHAUSTED]),
             data_attempts=self.data_attempts,
             ctrl_attempts=self.ctrl_attempts,
             energy_initial_nj=total_initial,

@@ -151,7 +151,7 @@ def test_acceptance_4_forwarding_rate_falls_with_own_window():
             sim = Simulation(saturated_cfg(seed), topology=contention_topology())
             sim.nodes[1].w, sim.nodes[2].w = float(w), 15.0
             result = sim.run()
-            per_seed.append(result.nodes[1].delivered_fwd / 5.0)
+            per_seed.append(result.nodes[1].access_delay_n / 5.0)
         mean_rate.append(sum(per_seed) / len(per_seed))
     rho = spearmanr(WINDOWS, mean_rate).statistic
     assert rho <= -0.9, (rho, mean_rate)

@@ -15,7 +15,7 @@ from hcccsim import congestion
 from hcccsim.config import ScenarioConfig, validate
 from hcccsim.congestion import (FeedbackInfo, ORIGIN_LOCAL, ORIGIN_NONE,
                                 ORIGIN_RELAYED)
-from hcccsim.mac import RTS
+from hcccsim.mac import DATA, RTS
 from hcccsim.metrics import build_report, summary_row
 from hcccsim.simulation import Simulation, run_scenario
 from hcccsim.traffic import DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED, IN_FLIGHT
@@ -99,8 +99,10 @@ def test_dead_nodes_stop_transmitting():
                                   duration=30.0, trace_mac=True))
     dead = [n for n in result.nodes if not n.alive]
     assert dead
-    for node in result.nodes:
-        assert node.data_attempts <= 10
+    data_attempts = Counter(node_id for _, node_id, kind, _, event
+                            in result.mac_trace
+                            if kind == DATA and event == "tx_start")
+    assert max(data_attempts.values()) <= 10
     death = {n.id: n.death_time for n in dead}
     for t, node_id, kind, dst, event in result.mac_trace:
         if event == "tx_start" and node_id in death:
@@ -258,12 +260,12 @@ def relay_chain():
 def send_one_via_node_2(sim, incoming):
     """Hand node 2 a downstream signal and one packet; run until it is forwarded."""
     relay, upstream = sim.nodes[2], sim.nodes[3]
-    start, forwarded = sim.engine.now, relay.delivered_fwd
+    start, forwarded = sim.engine.now, relay.access_delay_n
     upstream.pending_feedback = None
     relay.pending_feedback = incoming
     inject_packet(sim, relay)
     sim.engine.run_until(start + 500_000)
-    assert relay.delivered_fwd == forwarded + 1
+    assert relay.access_delay_n == forwarded + 1
     rts = [row for row in sim.mac_trace if row[0] >= start and row[1] == 2
            and row[2] == RTS and row[4] == "tx_start"]
     assert len(rts) == 1
