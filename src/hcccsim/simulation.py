@@ -560,10 +560,6 @@ class Simulation:
 
     # ---- public ---------------------------------------------------------
 
-    def carrier_busy(self, node_id):
-        """True iff any in-range transmission is audible at this node right now."""
-        return self._sensed_busy(self.nodes[node_id], self.engine.now)
-
     def run(self):
         cfg = self.cfg
         self.limit_us = int(round(cfg.duration * 1_000_000))

@@ -146,11 +146,11 @@ def test_carrier_sense_boundary():
     sim = Simulation(cfg, topology=two_node_topology())
     sim._start_tx(sim.nodes[0], Frame(CTS, 0, 1))
     sim.engine.now = 5
-    assert sim.carrier_busy(1)
+    assert sim._sensed_busy(sim.nodes[1], sim.engine.now)
     sim.engine.now = 10   # transmission finished this very microsecond
-    assert not sim.carrier_busy(1)
+    assert not sim._sensed_busy(sim.nodes[1], sim.engine.now)
     sim.engine.now = 0    # starting this very microsecond: not yet detectable
-    assert not sim.carrier_busy(1)
+    assert not sim._sensed_busy(sim.nodes[1], sim.engine.now)
 
 
 def test_no_transmission_into_sensed_busy_medium():
