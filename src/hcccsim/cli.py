@@ -99,9 +99,11 @@ def _parse_values(axis, raw):
         raise ConfigError("empty sweep value list")
     if axis == "scheme":
         return parts
-    if axis == "node_count":
-        return [int(p) for p in parts]
-    return [float(p) for p in parts]
+    kind = int if axis in ("seeds", "node_count") else float
+    try:
+        return [kind(p) for p in parts]
+    except ValueError as exc:
+        raise ConfigError("bad %s value: %s" % (axis, exc))
 
 
 def cmd_run(args):
@@ -117,10 +119,10 @@ def cmd_run(args):
 def cmd_sweep(args):
     cfg = _load_config(args)
     out_dir = _out_dir(args)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
+    seeds = _parse_values("seeds", args.seeds) if args.seeds else [cfg.seed]
     if args.axis == "seeds":
         values = [None]
-        seeds = [int(v) for v in args.values.split(",")]
+        seeds = _parse_values("seeds", args.values)
     else:
         values = _parse_values(args.axis, args.values)
     results = run_sweep(cfg, args.axis, values, seeds, out_dir)

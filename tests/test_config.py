@@ -179,6 +179,16 @@ def test_cli_sweep_duplicate_seeds_rejected(tmp_path):
                       "scheme", ["hccc"], [1, 1], str(tmp_path))
 
 
+@pytest.mark.parametrize("args", [
+    ["--axis", "node_count", "--values", "10,abc"],
+    ["--axis", "scheme", "--values", "none", "--seeds", "1,x"],
+    ["--axis", "seeds", "--values", "1,x"],
+])
+def test_cli_sweep_malformed_number_exit_2(tmp_path, capsys, args):
+    assert cli.main(["sweep", "--out", str(tmp_path)] + args) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_env_output_dir(tmp_path, monkeypatch):
     path = tmp_path / "scenario.conf"
     path.write_text("[scenario]\nnode_count = 10\nsource_count = 2\nduration = 1\n")
