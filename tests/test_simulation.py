@@ -18,11 +18,12 @@ from hcccsim.congestion import (FeedbackInfo, ORIGIN_LOCAL, ORIGIN_NONE,
 from hcccsim.mac import DATA, RTS
 from hcccsim.metrics import build_report, summary_row
 from hcccsim.simulation import Simulation, run_scenario
-from hcccsim.traffic import DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED, IN_FLIGHT
+from hcccsim.traffic import (DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED,
+                             IN_FLIGHT, PacketLog)
 
 from conftest import inject_packet, make_topology, small_cfg, two_node_topology
 from test_channel_audit import short_run
-from test_golden import golden_run
+from test_golden import SCENARIOS, golden_run
 
 
 def mid_cfg(**overrides):
@@ -351,3 +352,32 @@ def test_packet_the_next_hop_accepted_is_not_a_mac_drop(seed):
                         if result.records[pkt].outcome == MAC_RETRY_EXHAUSTED]
     assert result.mac_drops > 0
     assert dropped_but_held == []
+
+
+def test_no_run_finishes_a_log_row_twice(monkeypatch):
+    # The log is the only outcome record: a second finish on a row would
+    # mean two outcomes for one packet, of which the log keeps the first.
+    calls, repeats = [0], []
+    finish = PacketLog.finish
+
+    def counted(log, pkt, outcome, end_us):
+        calls[0] += 1
+        if log.outcome[pkt]:
+            repeats.append((pkt, outcome, end_us))
+        return finish(log, pkt, outcome, end_us)
+    monkeypatch.setattr(PacketLog, "finish", counted)
+    runs = [
+        dict(scheme="aimd_e2e", traffic="poisson", frame_error_rate=0.1,
+             duration=20.0, seed=3),
+        SCENARIOS["hccc_lossy"],
+        dict(scheme="none", offered_load=15.0, buffer_capacity=30,
+             frame_error_rate=0.1, duration=20.0),
+        SCENARIOS["none_energy_death"],
+    ]
+    tally = Counter()
+    for overrides in runs:
+        tally.update(outcome_tally(run_scenario(
+            validate(ScenarioConfig(**overrides)))))
+    assert repeats == []
+    assert tally[DELIVERED] and tally[BUFFER_OVERFLOW] and tally[MAC_RETRY_EXHAUSTED]
+    assert calls[0] == sum(tally.values()) - tally[IN_FLIGHT]
