@@ -118,13 +118,13 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     cfg = _load_config(args)
-    out_dir = _out_dir(args)
     seeds = _parse_values("seeds", args.seeds) if args.seeds else [cfg.seed]
     if args.axis == "seeds":
         values = [None]
         seeds = _parse_values("seeds", args.values)
     else:
         values = _parse_values(args.axis, args.values)
+    out_dir = _out_dir(args)
     results = run_sweep(cfg, args.axis, values, seeds, out_dir)
     path = os.path.join(out_dir, "sweep_%s.csv" % args.axis)
     aggregates = {value: metrics.aggregate(reports)

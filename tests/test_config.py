@@ -185,8 +185,10 @@ def test_cli_sweep_duplicate_seeds_rejected(tmp_path):
     ["--axis", "seeds", "--values", "1,x"],
 ])
 def test_cli_sweep_malformed_number_exit_2(tmp_path, capsys, args):
-    assert cli.main(["sweep", "--out", str(tmp_path)] + args) == 2
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--out", str(out)] + args) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_cli_env_output_dir(tmp_path, monkeypatch):
