@@ -79,6 +79,8 @@ def run_sweep(cfg, axis, values, seeds, out_dir):
         raise ConfigError("unknown sweep axis %r" % axis)
     if len(set(seeds)) != len(seeds):
         raise ConfigError("duplicate seeds in sweep")
+    if len(set(values)) != len(values):
+        raise ConfigError("duplicate %s values in sweep" % axis)
     results = {}
     for value in values:
         reports = []

@@ -86,16 +86,16 @@ def _parse_value(key, raw, lineno):
     ftype = _FIELD_TYPE[key]
     raw = raw.strip()
     try:
-        if ftype == "bool" or ftype is bool:
+        if ftype is bool:
             low = raw.lower()
             if low in ("true", "yes", "1"):
                 return True
             if low in ("false", "no", "0"):
                 return False
             raise ValueError("expected true/false")
-        if ftype == "int" or ftype is int:
+        if ftype is int:
             return int(raw)
-        if ftype == "float" or ftype is float:
+        if ftype is float:
             return float(raw)
         return raw
     except ValueError as exc:

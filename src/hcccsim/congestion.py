@@ -3,11 +3,13 @@
 The building blocks are inter-arrival / service-time averaging with drop-tail
 admission, congestion classification, the four-case window/rate adjustment
 applied when downstream buffer feedback arrives, and feedback construction
-with relay suppression.  ``detect``, ``feedback_update``, ``process_feedback``
-and ``should_relay`` are pure and tested against table-driven fixtures; the
-others update the ``CongestionState`` they are given.  Every function reads
-its parameters (p, b_max, w_min, w_max, r_min, r_cap, legacy_ewma) from the
-same-named fields of a ``ScenarioConfig``.
+with relay suppression.  The feedback signal an RTS carries is one number, a
+buffer occupancy ratio in [0, 1]; it is congested when above ``b_max``.
+``detect``, ``feedback_update``, ``process_feedback`` and ``should_relay``
+are pure and tested against table-driven fixtures; the others update the
+``CongestionState`` they are given.  Every function reads its parameters
+(p, b_max, w_min, w_max, r_min, r_cap, legacy_ewma) from the same-named
+fields of a ``ScenarioConfig``.
 
 The averaging formulas are implemented in two modes.  ``legacy_ewma=True``
 (default) keeps them exactly as the scheme defines them: the inter-arrival
@@ -19,7 +21,6 @@ exponential averages.
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 
 class CongestionLogicError(Exception):
@@ -32,19 +33,6 @@ DAMP_LOCAL_RATE = "damp_local_rate"
 CLEAR_CONGESTION = "clear_congestion"
 NO_CHANGE = "no_change"
 
-# Origin of the last feedback signal this node put on the air.
-ORIGIN_NONE = "none"
-ORIGIN_LOCAL = "local"
-ORIGIN_RELAYED = "relayed"
-
-
-@dataclass
-class FeedbackInfo:
-    """Buffer state piggybacked on an RTS frame."""
-    b_r: float
-    congested: bool
-    origin: int
-
 
 class CongestionState:
     """Congestion variables of one node.
@@ -52,14 +40,15 @@ class CongestionState:
     T_a and T_s are seeded with the nominal service time of a single data
     frame so the congestion degree is well defined before traffic has been
     observed; the first classification is deferred until both averages have
-    been updated at least once.  ``relay`` holds a downstream signal waiting
-    to be relayed on the node's next RTS.
+    been updated at least once.  ``relay`` holds a downstream occupancy ratio
+    waiting to be relayed on the node's next RTS; ``sent_own`` is True from
+    the node's own congested signal (b_r > b_max) until its next relay.
     """
 
     __slots__ = (
         "T_a", "T_s", "last_arrival", "last_departure", "C_d",
-        "buffer", "capacity", "R", "R_max", "last_feedback_origin", "relay",
-        "congested_flag", "arrivals_updated", "departures_updated",
+        "buffer", "capacity", "R", "R_max", "sent_own", "relay",
+        "arrivals_updated", "departures_updated",
     )
 
     def __init__(self, capacity, nominal_service_us, r_init):
@@ -72,9 +61,8 @@ class CongestionState:
         self.capacity = capacity
         self.R = r_init
         self.R_max = r_init
-        self.last_feedback_origin = ORIGIN_NONE
+        self.sent_own = False
         self.relay = None
-        self.congested_flag = False
         self.arrivals_updated = False
         self.departures_updated = False
 
@@ -142,8 +130,7 @@ def detect(state, cfg):
 
     Strict inequalities throughout; equality falls to the less aggressive
     branch.  A draining buffer (C_d <= 1 with occupancy still above threshold)
-    yields no state change: the congested flag persists until the clear
-    condition fires.
+    yields NO_CHANGE.
     """
     c_d = congestion_degree(state)
     if c_d is None:
@@ -159,14 +146,14 @@ def detect(state, cfg):
 
 
 def apply_detect(state, cfg):
-    """Recompute C_d, classify, and apply the resulting state change."""
+    """Recompute C_d, classify, and apply the resulting state change.
+
+    Only DAMP_LOCAL_RATE changes the state; the other actions are returned
+    for the trace.
+    """
     state.C_d = congestion_degree(state)
     action = detect(state, cfg)
-    if action == DECLARE_CONGESTION:
-        state.congested_flag = True
-    elif action == CLEAR_CONGESTION:
-        state.congested_flag = False
-    elif action == DAMP_LOCAL_RATE:
+    if action == DAMP_LOCAL_RATE:
         # Restores the arrival/departure balance implied by the degree definition.
         state.R = max(cfg.r_min, state.R / state.C_d)
         state.R_max = state.R
@@ -222,21 +209,18 @@ def apply_feedback(state, w, b_r_down, cfg):
 
 
 def should_relay(state, incoming, cfg):
-    """Whether to relay a downstream feedback signal upstream.
+    """Whether to relay a downstream occupancy ratio upstream.
 
     Local congestion takes precedence: a congested node always sends its own
-    signal.  A non-congested node relays a congested downstream signal only if
-    its last_feedback_origin is ORIGIN_LOCAL, i.e. the last signal that
-    changed the origin was its own *congested* state (``generate_feedback``
-    records only those, not its own uncongested state).  A node that has
-    never sent a congested signal of its own therefore never relays, and
-    after one relay it relays again only once it has sent one in between.
+    signal.  A non-congested node relays a congested downstream ratio
+    (incoming > b_max) only if ``sent_own`` is set, i.e. its own congested
+    signal went out after its last relay.  A node that has never sent a
+    congested signal of its own therefore never relays, and after one relay
+    it relays again only once it has sent one in between.
     """
     if state.b_r > cfg.b_max:
         return False
-    if incoming.congested:
-        return state.last_feedback_origin == ORIGIN_LOCAL
-    return False
+    return cfg.b_max < incoming and state.sent_own
 
 
 def on_feedback(state, w, incoming, cfg):
@@ -246,30 +230,29 @@ def on_feedback(state, w, incoming, cfg):
     ``should_relay`` says so.  Raises ValueError for an occupancy ratio
     outside [0, 1], leaving the state unchanged.
     """
-    w_new = apply_feedback(state, w, incoming.b_r, cfg)
+    w_new = apply_feedback(state, w, incoming, cfg)
     if should_relay(state, incoming, cfg):
         state.relay = incoming
     return w_new
 
 
-def generate_feedback(state, cfg, origin_id):
-    """The signal attached to an outgoing RTS, with last_feedback_origin bookkeeping.
+def generate_feedback(state, cfg):
+    """The occupancy ratio attached to an outgoing RTS, with sent_own bookkeeping.
 
-    A congested node (b_r > b_max) sends its own state and sets the origin to
-    ORIGIN_LOCAL.  Otherwise a signal held for relaying goes out once and sets
-    the origin to ORIGIN_RELAYED.  Failing both, the node sends its own
-    uncongested state and leaves the origin as it was.
+    A congested node (b_r > b_max) sends its own ratio and sets ``sent_own``.
+    Otherwise a ratio held for relaying goes out once and clears it.  Failing
+    both, the node sends its own uncongested ratio and leaves it as it was.
     """
     b_r = state.b_r
     if b_r > cfg.b_max:
-        state.last_feedback_origin = ORIGIN_LOCAL
-        return FeedbackInfo(b_r, True, origin_id)
+        state.sent_own = True
+        return b_r
     if state.relay is not None:
         relayed = state.relay
         state.relay = None
-        state.last_feedback_origin = ORIGIN_RELAYED
+        state.sent_own = False
         return relayed
-    return FeedbackInfo(b_r, False, origin_id)
+    return b_r
 
 
 def clamp_window(w, cfg):

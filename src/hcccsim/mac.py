@@ -21,7 +21,8 @@ class Frame:
         self.kind = kind
         self.src = src
         self.dst = dst
-        self.feedback = feedback  # only RTS carries feedback
+        # An HCCC RTS carries a buffer occupancy ratio, congested above b_max.
+        self.feedback = feedback
         self.data_id = data_id
         self.heard = False  # destination alive when the transmission started
         self.serial = 0  # the run's attempt number, set when it starts

@@ -383,7 +383,7 @@ class Simulation:
         if self.check_carrier:
             assert not self._sensed_busy(node, now), \
                 "node %d transmitting into a busy medium at t=%d" % (node.id, now)
-        feedback = (congestion.generate_feedback(node.cc, self.cfg, node.id)
+        feedback = (congestion.generate_feedback(node.cc, self.cfg)
                     if self.is_hccc else None)
         frame = Frame(RTS, node.id, node.next_hop.id, feedback,
                       node.cc.buffer[0])

@@ -41,20 +41,13 @@ class EnergyBook:
 
     def charge_data(self):
         self.remaining_nj -= self.per_packet_nj
-        return self.remaining_nj
 
     def charge_control(self):
-        if self.control_nj:
-            self.remaining_nj -= self.control_nj
-        return self.remaining_nj
+        self.remaining_nj -= self.control_nj
 
     @property
     def exhausted(self):
         return self.remaining_nj < self.per_packet_nj
-
-    @property
-    def consumed_nj(self):
-        return self.initial_nj - self.remaining_nj
 
 
 PacketRow = namedtuple(

@@ -172,11 +172,20 @@ def test_cli_sweep_paired_seeds(tmp_path, capsys):
             assert (out / ("%s_n15_seed%d_summary.csv" % (scheme, seed))).exists()
 
 
-def test_cli_sweep_duplicate_seeds_rejected(tmp_path):
-    with pytest.raises(ConfigError):
-        cli.run_sweep(validate(ScenarioConfig(node_count=10, source_count=2,
-                                              duration=1.0)),
-                      "scheme", ["hccc"], [1, 1], str(tmp_path))
+@pytest.mark.parametrize("args", [
+    ["--axis", "scheme", "--values", "hccc", "--seeds", "1,1"],
+    ["--axis", "seeds", "--values", "1,1"],
+    ["--axis", "node_count", "--values", "10,10", "--seeds", "1,2"],
+    ["--axis", "offered_load", "--values", "5,5.0"],
+], ids=["seeds", "seeds_axis", "node_count", "offered_load"])
+def test_cli_sweep_duplicates_rejected(tmp_path, capsys, args):
+    path = tmp_path / "scenario.conf"
+    path.write_text("[scenario]\nnode_count = 10\nsource_count = 2\nduration = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(path), "--out", str(out)]
+                    + args) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(out.glob("*.csv"))
 
 
 @pytest.mark.parametrize("args", [

@@ -4,10 +4,8 @@ import pytest
 
 from hcccsim import congestion
 from hcccsim.congestion import (CongestionLogicError, CongestionState,
-                                FeedbackInfo,
                                 DECLARE_CONGESTION, DAMP_LOCAL_RATE,
-                                CLEAR_CONGESTION, NO_CHANGE,
-                                ORIGIN_LOCAL, ORIGIN_NONE, ORIGIN_RELAYED)
+                                CLEAR_CONGESTION, NO_CHANGE)
 from hcccsim.config import ScenarioConfig
 from hcccsim.engine import RandomStream
 
@@ -146,13 +144,15 @@ def test_detect_before_ready_is_no_change():
 
 
 def test_apply_detect_sets_and_clears_flag():
+    # Declaring and clearing congestion are trace labels: R and R_max stay.
     st = ready_state(1300.0, 1000.0, 6)
+    st.R, st.R_max = 80.0, 120.0
     assert congestion.apply_detect(st, P) == DECLARE_CONGESTION
-    assert st.congested_flag
+    assert (st.R, st.R_max) == (80.0, 120.0)
     st.T_s = 900.0
     st.buffer.clear()
     assert congestion.apply_detect(st, P) == CLEAR_CONGESTION
-    assert not st.congested_flag
+    assert (st.R, st.R_max) == (80.0, 120.0)
 
 
 def test_apply_detect_damping_divides_rate_by_degree():
@@ -318,31 +318,31 @@ def test_r_max_never_below_r():
 
 def test_generate_feedback_threshold_strict():
     st = feedback_state(5, 100.0, 100.0)
-    fb = congestion.generate_feedback(st, P, 3)
-    assert fb.congested and fb.b_r == 0.5 and fb.origin == 3
-    st = feedback_state(4, 100.0, 100.0)   # exactly B_max
-    assert not congestion.generate_feedback(st, P, 3).congested
+    assert congestion.generate_feedback(st, P) == 0.5
+    assert st.sent_own
+    st = feedback_state(4, 100.0, 100.0)   # exactly B_max: not congested
+    assert congestion.generate_feedback(st, P) == 0.4
+    assert not st.sent_own
     st = feedback_state(0, 100.0, 100.0)
-    fb = congestion.generate_feedback(st, P, 3)
-    assert not fb.congested and fb.b_r == 0.0
+    assert congestion.generate_feedback(st, P) == 0.0
+    assert not st.sent_own
 
 
 def test_should_relay_rule_table():
-    congested_in = FeedbackInfo(0.7, True, 9)
-    quiet_in = FeedbackInfo(0.1, False, 9)
+    congested_in, quiet_in = 0.7, 0.1
     # locally congested: never relay, own signal takes precedence
     st = feedback_state(6, 100.0, 100.0)
-    st.last_feedback_origin = ORIGIN_LOCAL
+    st.sent_own = True
     assert not congestion.should_relay(st, congested_in, P)
     # not congested, incoming congested, last signal was our own: relay
     st = feedback_state(2, 100.0, 100.0)
-    st.last_feedback_origin = ORIGIN_LOCAL
+    st.sent_own = True
     assert congestion.should_relay(st, congested_in, P)
-    # same but the last signal was already a relay: suppress
-    st.last_feedback_origin = ORIGIN_RELAYED
+    # same but no own congested signal since the last relay (or ever): suppress
+    st.sent_own = False
     assert not congestion.should_relay(st, congested_in, P)
-    st.last_feedback_origin = ORIGIN_NONE
-    assert not congestion.should_relay(st, congested_in, P)
+    # incoming exactly at B_max is not congested
+    st.sent_own = True
+    assert not congestion.should_relay(st, P.b_max, P)
     # nothing congested anywhere: nothing to relay
-    st.last_feedback_origin = ORIGIN_LOCAL
     assert not congestion.should_relay(st, quiet_in, P)

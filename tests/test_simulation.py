@@ -13,8 +13,6 @@ import pytest
 
 from hcccsim import congestion
 from hcccsim.config import ScenarioConfig, validate
-from hcccsim.congestion import (FeedbackInfo, ORIGIN_LOCAL, ORIGIN_NONE,
-                                ORIGIN_RELAYED)
 from hcccsim.mac import DATA, RTS
 from hcccsim.metrics import build_report, summary_row
 from hcccsim.simulation import Simulation, run_scenario
@@ -243,11 +241,25 @@ def test_malformed_feedback_raises_and_changes_nothing():
     source = sim.sources[0]
     inject_packet(sim, source)
     w_before, r_before = source.w, source.cc.R
-    source.pending_feedback = FeedbackInfo(1.7, True, 99)
+    source.pending_feedback = 1.7
     with pytest.raises(ValueError):
         sim._access_begin(source)
     assert source.w == w_before
     assert source.cc.R == r_before
+
+
+def test_zero_feedback_is_applied():
+    # An empty downstream buffer (ratio 0.0) is a signal, not its absence:
+    # case 4 gives W' = 10 * W * 0, clamped to w_min.
+    sim = Simulation(mid_cfg(scheme="hccc", duration=5.0, trace_hccc=True))
+    source = sim.sources[0]
+    inject_packet(sim, source)
+    assert source.w > sim.cfg.w_min
+    source.pending_feedback = 0.0
+    sim._access_begin(source)
+    assert source.w == sim.cfg.w_min
+    assert source.pending_feedback is None
+    assert [row[6] for row in sim.hccc_trace].count("feedback") == 1
 
 
 def relay_chain():
@@ -276,28 +288,20 @@ def send_one_via_node_2(sim, incoming):
 def test_congested_downstream_signal_is_relayed_once():
     sim = relay_chain()
     relay = sim.nodes[2]
-    relay.cc.last_feedback_origin = ORIGIN_LOCAL
-    first = FeedbackInfo(0.9, True, 1)
-    assert send_one_via_node_2(sim, first) is first
-    assert relay.cc.last_feedback_origin == ORIGIN_RELAYED
-    # A second congested signal is suppressed: node 3 hears node 2's own state.
-    second = FeedbackInfo(0.9, True, 1)
-    heard = send_one_via_node_2(sim, second)
-    assert heard is not second
-    assert (heard.origin, heard.congested) == (2, False)
-    assert heard.b_r == 1 / sim.cfg.buffer_capacity
-    assert relay.cc.last_feedback_origin == ORIGIN_RELAYED
+    relay.cc.sent_own = True
+    assert send_one_via_node_2(sim, 0.9) == 0.9
+    assert not relay.cc.sent_own
+    # A second congested signal is suppressed: node 3 hears node 2's own ratio.
+    assert send_one_via_node_2(sim, 0.9) == 1 / sim.cfg.buffer_capacity
+    assert not relay.cc.sent_own
 
 
 def test_node_without_own_signal_does_not_relay():
     sim = relay_chain()
     relay = sim.nodes[2]
-    assert relay.cc.last_feedback_origin == ORIGIN_NONE
-    incoming = FeedbackInfo(0.9, True, 1)
-    heard = send_one_via_node_2(sim, incoming)
-    assert heard is not incoming
-    assert (heard.origin, heard.congested) == (2, False)
-    assert relay.cc.last_feedback_origin == ORIGIN_NONE
+    assert not relay.cc.sent_own
+    assert send_one_via_node_2(sim, 0.9) == 1 / sim.cfg.buffer_capacity
+    assert not relay.cc.sent_own
 
 
 def test_schemes_differ_under_load():

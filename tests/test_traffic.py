@@ -13,7 +13,7 @@ def test_single_data_charge():
     book = EnergyBook(0.1, 1e-4)
     book.charge_data()
     assert book.remaining_nj == 99_900_000          # 0.0999 J exactly
-    assert book.consumed_nj == 100_000
+    assert book.initial_nj - book.remaining_nj == 100_000
     assert not book.exhausted
 
 
@@ -37,7 +37,7 @@ def test_control_frames_free_by_default():
 def test_control_frames_chargeable():
     book = EnergyBook(0.1, 1e-4, control_j=1e-5)
     book.charge_control()
-    assert book.consumed_nj == 10_000
+    assert book.initial_nj - book.remaining_nj == 10_000
 
 
 def test_packet_record_single_terminal_outcome():
