@@ -18,9 +18,7 @@ SWEEP_AXES = ("seeds", "node_count", "offered_load", "scheme")
 
 
 def _out_dir(args):
-    out = args.out or os.environ.get("HCCCSIM_OUT") or "results"
-    os.makedirs(out, exist_ok=True)
-    return out
+    return args.out or os.environ.get("HCCCSIM_OUT") or "results"
 
 
 def _load_config(args):
@@ -40,10 +38,12 @@ def _run_tag(cfg):
 
 
 def run_one(cfg, out_dir, dump_topology=False):
-    """Execute one scenario and write its CSV reports; returns the report."""
+    """Execute one scenario and write its CSV reports into out_dir, made if
+    missing; returns the report."""
     sim = Simulation(cfg)
     result = sim.run()
     report = metrics.build_report(result)
+    os.makedirs(out_dir, exist_ok=True)
     tag = _run_tag(cfg)
     metrics.write_summary_csv(os.path.join(out_dir, tag + "_summary.csv"), [report])
     metrics.write_series_csv(os.path.join(out_dir, tag + "_series.csv"), report)

@@ -20,9 +20,13 @@ HCCC feedback, the sender's children.  On a lossy channel each of them takes
 a frame-error draw keyed by (run seed, receiver, attempt number), so no
 node's random stream depends on who a frame is for or what it overhears.
 
-Channel access works without per-slot polling: a node counts its backoff down
-in one scheduled wake-up and is frozen by any transmission it hears, resuming
-one DIFS (plus a small desynchronisation jitter) after the medium clears.
+Channel access works without per-slot polling.  A countdown is
+(``remaining``, ``wake_time``): ``remaining`` slots are counted down in one
+scheduled wake-up at ``wake_time``, which is 0 while no countdown runs.  A
+frame the node hears freezes the countdown, keeping the partly counted slot
+in ``remaining``.  Every deferral is one DIFS plus a small desynchronisation
+jitter after a base: the end of the busy period, the end of the node's own
+response exchange, or the end of a frame that started at that same instant.
 The DIFS-after-busy rule is also what protects SIFS-separated frames of an
 ongoing exchange from being trampled by waiting contenders.
 
@@ -56,7 +60,7 @@ class Node:
         "id", "role", "neighbors", "next_hop",
         "stream", "energy", "alive", "death_time",
         "cc", "w", "aimd",
-        "phase", "counting", "remaining", "count_since", "wake_time",
+        "phase", "remaining", "wake_time",     # wake_time 0: no countdown
         "epoch", "retries", "access_pending", "access_started_at",
         "next_access_time",
         "children", "tx_end", "busy_until", "busy_since", "rx_frame", "rx_prev",
@@ -81,9 +85,7 @@ class Node:
         self.w = w
         self.aimd = None
         self.phase = IDLE
-        self.counting = False
         self.remaining = 0
-        self.count_since = 0
         self.wake_time = 0
         self.epoch = 0
         self.retries = 0
@@ -215,12 +217,6 @@ class Simulation:
 
     # ---- channel --------------------------------------------------------
 
-    def _jitter(self, node):
-        jmax = self.timing.jitter_max
-        if jmax <= 0:
-            return 0
-        return node.stream.uniform_int(0, jmax - 1)
-
     def _sensed_busy(self, node, now):
         return node.tx_end > now or (node.busy_until > now
                                      and node.busy_since < now)
@@ -241,7 +237,7 @@ class Simulation:
         node.tx_end = end
         frame.heard = self.nodes[frame.dst].alive
         frame.serial = self.data_attempts + self.ctrl_attempts
-        if node.phase == BACKOFF and node.counting and node.wake_time > now:
+        if node.wake_time > now:
             self._freeze(node, now)
         for n in node.neighbors:
             if not n.alive:
@@ -258,7 +254,7 @@ class Simulation:
                 n.busy_until = end
                 n.rx_prev = n.rx_frame
                 n.rx_frame = frame if n.tx_end <= now else None
-            if n.phase == BACKOFF and n.counting and n.wake_time > now:
+            if n.wake_time > now:
                 self._freeze(n, now)
         if self.cfg.trace_mac:
             self.mac_trace.append((now, node.id, frame.kind, frame.dst, "tx_start"))
@@ -302,43 +298,38 @@ class Simulation:
         node.epoch += 1
         self.engine.schedule(at, self._backoff_wake, node, node.epoch)
 
-    def _wake_after_busy(self, node):
-        """Resume one DIFS (plus jitter) after the medium clears."""
-        self._schedule_wake(node, max(node.busy_until, node.tx_end)
-                            + self.timing.difs + self._jitter(node))
+    def _defer(self, node, base):
+        """Wake one DIFS plus the access jitter after base."""
+        jmax = self.timing.jitter_max
+        jitter = node.stream.uniform_int(0, jmax - 1) if jmax > 0 else 0
+        self._schedule_wake(node, base + self.timing.difs + jitter)
 
     def _freeze(self, node, now):
-        slot = self.timing.slot
-        node.remaining -= (now - node.count_since) // slot
-        node.counting = False
-        self._wake_after_busy(node)
+        # Keep the slot in progress: count only whole slots as done.
+        node.remaining = -((now - node.wake_time) // self.timing.slot)
+        node.wake_time = 0
+        self._defer(node, max(node.busy_until, node.tx_end))
 
     def _backoff_wake(self, node, epoch):
         if epoch != node.epoch or not node.alive or node.phase != BACKOFF:
             return
         now = self.engine.now
-        if node.counting:
-            node.counting = False
-            node.remaining = 0
+        if node.wake_time:
+            # The countdown ran out.
+            node.wake_time = node.remaining = 0
         if self._sensed_busy(node, now):
-            self._wake_after_busy(node)
-            return
-        if now < node.responding_until:
-            self._schedule_wake(node, node.responding_until + self.timing.difs
-                                + self._jitter(node))
-            return
-        if node.remaining <= 0:
+            self._defer(node, max(node.busy_until, node.tx_end))
+        elif now < node.responding_until:
+            self._defer(node, node.responding_until)
+        elif node.remaining <= 0:
             self._tx_rts(node)
-            return
-        # A transmission starting at this exact instant is not sensed, but the
-        # medium is occupied for the rest of the countdown; defer instead.
-        if node.busy_until > now:
-            self._wake_after_busy(node)
-            return
-        node.counting = True
-        node.count_since = now
-        node.wake_time = now + node.remaining * self.timing.slot
-        self._schedule_wake(node, node.wake_time)
+        elif node.busy_until > now:
+            # A frame starting at this exact instant is not sensed, but it
+            # occupies the medium for the rest of the countdown.
+            self._defer(node, node.busy_until)
+        else:
+            node.wake_time = now + node.remaining * self.timing.slot
+            self._schedule_wake(node, node.wake_time)
 
     # ---- channel access / exchange --------------------------------------
 
@@ -371,12 +362,14 @@ class Simulation:
                                         node.w, "detect:%s" % action))
         rate = self._pacing_rate(node)
         node.next_access_time = now + max(1, int(1_000_000.0 / rate))
-        node.phase = BACKOFF
         node.retries = 0
-        node.counting = False
         node.access_started_at = now
+        self._begin_backoff(node)
+
+    def _begin_backoff(self, node):
+        node.phase = BACKOFF
         node.remaining = draw_backoff(node.w, node.stream)
-        self._schedule_wake(node, now + self.timing.difs + self._jitter(node))
+        self._defer(node, self.engine.now)
 
     def _tx_rts(self, node):
         now = self.engine.now
@@ -445,11 +438,7 @@ class Simulation:
             node.phase = IDLE
             self._start_access(node)
             return
-        node.phase = BACKOFF
-        node.counting = False
-        node.remaining = draw_backoff(node.w, node.stream)
-        self._schedule_wake(node, self.engine.now + self.timing.difs
-                            + self._jitter(node))
+        self._begin_backoff(node)
 
     def _complete_send(self, node):
         now = self.engine.now

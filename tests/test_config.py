@@ -185,7 +185,7 @@ def test_cli_sweep_duplicates_rejected(tmp_path, capsys, args):
     assert cli.main(["sweep", "--config", str(path), "--out", str(out)]
                     + args) == 2
     assert capsys.readouterr().err.startswith("error:")
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -1,0 +1,101 @@
+"""Invariants over generated scenarios.
+
+Each case is a small scenario drawn from a fixed-seed RandomStream: 3-12
+nodes, a random field side, radius, offered load, buffer size, window and
+scheme, access jitter 0 or 1000 us, a lossless or lossy channel and, in some
+cases, an energy budget that kills nodes.  A draw that puts fewer than 100
+frames on the air is redrawn from the same stream.  Every case runs with
+carrier sense checked and must pass the channel audit, the outcome
+partition, the energy identity and buffer conservation at every node.
+"""
+
+import functools
+
+import pytest
+
+from hcccsim.config import SCHEMES, ScenarioConfig, validate
+from hcccsim.engine import RandomStream
+from hcccsim.simulation import Simulation
+from hcccsim.traffic import (BUFFER_OVERFLOW, DELIVERED, IN_FLIGHT,
+                             MAC_RETRY_EXHAUSTED, joules_to_nj)
+
+from test_channel_audit import audit
+from test_simulation import outcome_tally
+
+CASES = 40
+MIN_FRAMES = 100
+
+
+class FreezeCountingSimulation(Simulation):
+    freezes = 0
+
+    def _freeze(self, node, now):
+        self.freezes += 1
+        super()._freeze(node, now)
+
+
+def draw_config(stream):
+    node_count = stream.uniform_int(3, 12)
+    lossy = stream.random() < 0.3
+    dying = stream.random() < 0.25
+    return validate(ScenarioConfig(
+        node_count=node_count,
+        source_count=stream.uniform_int(1, node_count - 1),
+        area_side=20.0 + 60.0 * stream.random(),
+        radius=15.0 + 35.0 * stream.random(),
+        offered_load=1.0 + 39.0 * stream.random(),
+        buffer_capacity=stream.uniform_int(2, 50),
+        w_max=stream.uniform_int(1, 63),
+        scheme=SCHEMES[stream.uniform_int(0, len(SCHEMES) - 1)],
+        traffic=("cbr", "poisson")[stream.uniform_int(0, 1)],
+        access_jitter_us=(0, 1000)[stream.uniform_int(0, 1)],
+        frame_error_rate=0.2 * stream.random() if lossy else 0.0,
+        # 20 DATA attempts, or 100 control frames
+        energy_initial=0.002 if dying else 0.1,
+        energy_control=2e-5 if dying else 0.0,
+        duration=4.0, warmup=1.0, seed=stream.uniform_int(1, 10_000),
+        trace_mac=True))
+
+
+@functools.lru_cache(maxsize=None)
+def case(i):
+    """(simulation, result) of generated case i."""
+    stream = RandomStream(10, i)
+    for _ in range(50):
+        sim = FreezeCountingSimulation(draw_config(stream), check_carrier=True)
+        result = sim.run()
+        if result.data_attempts + result.ctrl_attempts >= MIN_FRAMES:
+            return sim, result
+    raise AssertionError("case %d: no draw put %d frames on the air"
+                         % (i, MIN_FRAMES))
+
+
+@pytest.mark.parametrize("i", range(CASES))
+def test_generated_scenario_invariants(i):
+    sim, result = case(i)
+    cfg = sim.cfg
+    assert audit(sim) == []
+
+    tally = outcome_tally(result)
+    assert sum(tally.values()) == result.generated
+    assert tally[DELIVERED] == result.delivered
+    assert tally[BUFFER_OVERFLOW] == result.overflow_drops
+    assert tally[MAC_RETRY_EXHAUSTED] == result.mac_drops
+    assert tally[IN_FLIGHT] == result.in_flight
+
+    consumed = result.energy_initial_nj - result.energy_remaining_nj
+    assert consumed == (joules_to_nj(cfg.energy_per_packet) * result.data_attempts
+                        + joules_to_nj(cfg.energy_control) * result.ctrl_attempts)
+
+    for node in result.nodes:
+        assert node.admitted - node.removed == len(node.cc.buffer), node.id
+
+
+def test_generated_cases_cover_the_hard_paths():
+    runs = [case(i) for i in range(CASES)]
+    assert any(sim.freezes for sim, _ in runs)
+    assert any(node.death_time is not None
+               for _, result in runs for node in result.nodes)
+    assert any(sim.cfg.frame_error_rate > 0 for sim, _ in runs)
+    assert any(sim.cfg.access_jitter_us == 0 for sim, _ in runs)
+    assert {sim.cfg.scheme for sim, _ in runs} == set(SCHEMES)

@@ -2,7 +2,7 @@
 
 from hcccsim.engine import RandomStream
 from hcccsim.mac import (MacTiming, airtime_us, draw_backoff, effective_window,
-                         frame_error_probability, CTS, Frame)
+                         frame_error_probability, ACK, CTS, RTS, Frame)
 from hcccsim.simulation import Simulation
 
 from conftest import (contention_topology, hidden_terminal_topology,
@@ -160,3 +160,23 @@ def test_no_transmission_into_sensed_busy_medium():
     sim = Simulation(cfg, topology=contention_topology(), check_carrier=True)
     result = sim.run()
     assert result.delivered > 0
+
+
+def test_frozen_countdown_keeps_its_partial_slot():
+    # All in range, no jitter.  Node 1 counts k slots down from DIFS; an ACK
+    # from node 2 that nobody answers freezes it 2.5 slots in.  The half
+    # counted slot is not done, so k - 2 slots remain after the next DIFS.
+    cfg = small_cfg(trace_mac=True)
+    sim = Simulation(cfg, topology=contention_topology())
+    a, b = sim.nodes[1], sim.nodes[2]
+    k = draw_backoff(a.w, RandomStream(cfg.seed, a.id + 1))
+    assert k >= 3
+    t = sim.timing
+    frozen_at = t.difs + 5 * t.slot // 2
+    inject_packet(sim, a)
+    sim.engine.schedule(frozen_at, sim._start_tx, b, Frame(ACK, b.id, a.id))
+    sim.run()
+    rts_starts = [row[0] for row in sim.mac_trace
+                  if row[1:3] == (a.id, RTS) and row[4] == "tx_start"]
+    frame_end = frozen_at + t.ctrl_air
+    assert rts_starts[0] == frame_end + t.difs + (k - 2) * t.slot
