@@ -26,9 +26,9 @@ def _load_config(args):
         cfg = parse_config(args.config)
     else:
         cfg = validate(ScenarioConfig())
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = validate(replace(cfg, seed=args.seed))
-    for flag in getattr(args, "trace", None) or []:
+    for flag in args.trace or []:
         cfg = replace(cfg, **{"trace_" + flag: True})
     return cfg
 
@@ -51,29 +51,23 @@ def run_one(cfg, out_dir, dump_topology=False):
         metrics.write_packets_csv(os.path.join(out_dir, tag + "_packets.csv"),
                                   result.records)
     if cfg.trace_mac:
-        _write_rows(os.path.join(out_dir, tag + "_mac_trace.csv"),
-                    "t_us,node,kind,dst,event", result.mac_trace)
+        metrics.write_csv(os.path.join(out_dir, tag + "_mac_trace.csv"),
+                          ("t_us", "node", "kind", "dst", "event"), result.mac_trace)
     if cfg.trace_hccc:
-        _write_rows(os.path.join(out_dir, tag + "_hccc_trace.csv"),
-                    "t_us,node,b_r,c_d,rate,window,event", result.hccc_trace)
+        metrics.write_csv(os.path.join(out_dir, tag + "_hccc_trace.csv"),
+                          ("t_us", "node", "b_r", "c_d", "rate", "window", "event"),
+                          result.hccc_trace)
     if dump_topology:
         result.topology.write_csv(os.path.join(out_dir, tag + "_topology.csv"))
     return report
-
-
-def _write_rows(path, header, rows):
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(",".join("%.10g" % v if isinstance(v, float) else str(v)
-                             for v in row) + "\n")
 
 
 def run_sweep(cfg, axis, values, seeds, out_dir):
     """One run per (value, seed) pair; returns {value: [reports]}.
 
     Every axis value is run against the identical seed list so comparisons
-    are paired.
+    are paired.  Every run's config is validated before the first run, so a
+    rejected sweep writes nothing.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError("unknown sweep axis %r" % axis)
@@ -81,18 +75,11 @@ def run_sweep(cfg, axis, values, seeds, out_dir):
         raise ConfigError("duplicate seeds in sweep")
     if len(set(values)) != len(values):
         raise ConfigError("duplicate %s values in sweep" % axis)
-    results = {}
+    run_cfgs = {}
     for value in values:
-        reports = []
-        for seed in seeds:
-            if axis == "seeds":
-                run_cfg = replace(cfg, seed=seed)
-            else:
-                run_cfg = replace(cfg, **{axis: value, "seed": seed})
-            validate(run_cfg)
-            reports.append(run_one(run_cfg, out_dir))
-        results[value] = reports
-    return results
+        fixed = {} if axis == "seeds" else {axis: value}
+        run_cfgs[value] = [validate(replace(cfg, seed=seed, **fixed)) for seed in seeds]
+    return {value: [run_one(c, out_dir) for c in cfgs] for value, cfgs in run_cfgs.items()}
 
 
 def _parse_values(axis, raw):
@@ -112,9 +99,10 @@ def cmd_run(args):
     cfg = _load_config(args)
     out_dir = _out_dir(args)
     report = run_one(cfg, out_dir, dump_topology=args.dump_topology)
-    print("run %s: loss=%.4f throughput=%.3fpps efficiency=%.4f"
-          % (_run_tag(cfg), report.packet_loss_ratio, report.throughput_mean,
-             report.energy_efficiency))
+    tput = report.throughput_mean_pps
+    print("run %s: loss=%.4f throughput=%s efficiency=%.4f"
+          % (_run_tag(cfg), report.packet_loss_ratio,
+             "na" if tput is None else "%.3fpps" % tput, report.energy_efficiency))
     return 0
 
 
@@ -131,15 +119,11 @@ def cmd_sweep(args):
     path = os.path.join(out_dir, "sweep_%s.csv" % args.axis)
     aggregates = {value: metrics.aggregate(reports)
                   for value, reports in results.items()}
-    with open(path, "w") as f:
-        f.write("axis,value,metric,mean,stddev,min,max\n")
-        for value, agg in aggregates.items():
-            for name, stats in agg.items():
-                if stats is None:
-                    continue
-                f.write("%s,%s,%s,%.10g,%.10g,%.10g,%.10g\n"
-                        % (args.axis, value, name, stats["mean"],
-                           stats["stddev"], stats["min"], stats["max"]))
+    metrics.write_csv(path, ("axis", "value", "metric", "mean", "stddev", "min", "max"),
+                      [(args.axis, value, name, stats["mean"], stats["stddev"],
+                        stats["min"], stats["max"])
+                       for value, agg in aggregates.items()
+                       for name, stats in agg.items() if stats is not None])
     for value, reports in results.items():
         loss = aggregates[value]["packet_loss_ratio"]
         print("sweep %s=%s: loss mean=%.4f stddev=%.4f (%d runs)"
@@ -171,27 +155,25 @@ def build_parser():
         description="Hop-by-hop cross-layer congestion control simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute one scenario")
-    p_run.add_argument("--config", help="scenario config file")
-    p_run.add_argument("--seed", type=int, help="override the config seed")
-    p_run.add_argument("--out", help="output directory (default $HCCCSIM_OUT or ./results)")
-    p_run.add_argument("--trace", action="append", choices=("mac", "hccc", "packets"),
-                       help="enable a trace output (repeatable)")
+    # Options shared by run and sweep.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="scenario config file")
+    common.add_argument("--seed", type=int, help="override the config seed")
+    common.add_argument("--out", help="output directory (default $HCCCSIM_OUT or ./results)")
+    common.add_argument("--trace", action="append", choices=("mac", "hccc", "packets"),
+                        help="enable a trace output (repeatable)")
+
+    p_run = sub.add_parser("run", parents=[common], help="execute one scenario")
     p_run.add_argument("--dump-topology", action="store_true",
                        help="write node positions, edges and routes as CSV")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
-    p_sweep.add_argument("--config", help="scenario config file")
-    p_sweep.add_argument("--seed", type=int, help="override the config seed")
+    p_sweep = sub.add_parser("sweep", parents=[common], help="run a parameter sweep")
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values")
     p_sweep.add_argument("--seeds",
                          help="comma-separated seeds applied to every axis value")
-    p_sweep.add_argument("--out", help="output directory")
-    p_sweep.add_argument("--trace", action="append",
-                         choices=("mac", "hccc", "packets"))
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_dump = sub.add_parser("dump-defaults", help="print the default config")

@@ -8,7 +8,7 @@ are retained so transient behaviour stays plottable from the CSV output.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .traffic import (DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED,
                       IN_FLIGHT, NO_END, OUTCOMES, OUTCOME_CODE)
@@ -29,9 +29,10 @@ class MetricsReport:
     mac_drops: int
     in_flight: int
     packet_loss_ratio: float
-    throughput_mean: float          # pps at sink, post warmup
-    avg_source_rate_mean: float     # pps, post warmup
-    source_rate_cov: float          # coefficient of variation, post warmup
+    # Post-warmup means; None when the run has no post-warmup interval.
+    throughput_mean_pps: float      # at the sink
+    avg_source_rate_mean_pps: float
+    source_rate_cov: float          # coefficient of variation
     energy_efficiency: float
     fairness: float                 # None when not applicable
     data_attempts: int
@@ -120,8 +121,9 @@ def aggregate(reports):
     if not reports:
         raise ValueError("aggregate requires at least one report")
     out = {}
-    for name in ("packet_loss_ratio", "throughput_mean", "avg_source_rate_mean",
-                 "source_rate_cov", "energy_efficiency", "fairness"):
+    for name in ("packet_loss_ratio", "throughput_mean_pps",
+                 "avg_source_rate_mean_pps", "source_rate_cov",
+                 "energy_efficiency", "fairness"):
         values = [getattr(r, name) for r in reports]
         values = [v for v in values if v is not None]
         if not values:
@@ -142,8 +144,10 @@ def build_report(result):
     post = [(t, sum(rates) / len(rates)) for t, rates in result.rate_samples
             if rates]
     post_warm = [m for t, m in post if t >= warmup_us]
-    rate_mean, rate_std = mean_std(post_warm)
-    cov = rate_std / rate_mean if rate_mean > 0 else 0.0
+    rate_mean = cov = None
+    if post_warm:
+        rate_mean, rate_std = mean_std(post_warm)
+        cov = rate_std / rate_mean if rate_mean > 0 else 0.0
 
     # Per-source mean rate over the post-warmup samples, for the fairness degree.
     per_source = []
@@ -174,8 +178,9 @@ def build_report(result):
         mac_drops=result.mac_drops,
         in_flight=result.in_flight,
         packet_loss_ratio=packet_loss_ratio(result.records),
-        throughput_mean=throughput_mean(result.records, warmup_us, duration_us),
-        avg_source_rate_mean=rate_mean,
+        throughput_mean_pps=(throughput_mean(result.records, warmup_us, duration_us)
+                             if duration_us > warmup_us else None),
+        avg_source_rate_mean_pps=rate_mean,
         source_rate_cov=cov,
         energy_efficiency=efficiency,
         fairness=phi,
@@ -189,12 +194,8 @@ def build_report(result):
 
 # ---- CSV emission -------------------------------------------------------
 
-SUMMARY_COLUMNS = (
-    "scheme", "seed", "node_count", "duration_s", "generated", "delivered",
-    "overflow_drops", "mac_drops", "in_flight", "packet_loss_ratio",
-    "throughput_mean_pps", "avg_source_rate_mean_pps", "source_rate_cov",
-    "energy_efficiency", "fairness", "data_attempts", "energy_consumed_j",
-)
+# The summary's columns are the report's scalar fields, in declaration order.
+SUMMARY_COLUMNS = tuple(f.name for f in fields(MetricsReport) if f.type is not list)
 
 
 def _fmt(value):
@@ -205,32 +206,35 @@ def _fmt(value):
     return str(value)
 
 
+def _write_table(f, header, rows):
+    f.write(",".join(header) + "\n")
+    for row in rows:
+        f.write(",".join([_fmt(v) for v in row]) + "\n")
+
+
+def write_csv(path, header, rows):
+    """Write one CSV table: a header line of column names, then one line per
+    row with every value formatted by ``_fmt`` (``na`` for None)."""
+    with open(path, "w") as f:
+        _write_table(f, header, rows)
+
+
 def summary_row(report):
-    return [report.scheme, report.seed, report.node_count, report.duration_s,
-            report.generated, report.delivered, report.overflow_drops,
-            report.mac_drops, report.in_flight, report.packet_loss_ratio,
-            report.throughput_mean, report.avg_source_rate_mean,
-            report.source_rate_cov, report.energy_efficiency, report.fairness,
-            report.data_attempts, report.energy_consumed_j]
+    return [getattr(report, name) for name in SUMMARY_COLUMNS]
 
 
 def write_summary_csv(path, reports):
-    with open(path, "w") as f:
-        f.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for report in reports:
-            f.write(",".join(_fmt(v) for v in summary_row(report)) + "\n")
+    write_csv(path, SUMMARY_COLUMNS, [summary_row(r) for r in reports])
 
 
 def write_series_csv(path, report):
+    """The window table, a blank line, then the source-rate table."""
     with open(path, "w") as f:
-        f.write("window_start_s,window_end_s,generated,delivered,dropped,"
-                "loss_ratio,throughput_pps\n")
-        for row in report.windows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_table(f, ("window_start_s", "window_end_s", "generated",
+                         "delivered", "dropped", "loss_ratio", "throughput_pps"),
+                     report.windows)
         f.write("\n")
-        f.write("t_s,mean_source_rate_pps\n")
-        for t, m in report.rate_series:
-            f.write("%s,%s\n" % (_fmt(t), _fmt(m)))
+        _write_table(f, ("t_s", "mean_source_rate_pps"), report.rate_series)
 
 
 # Packets CSV rows formatted per write call.

@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import pytest
 
-from hcccsim import cli
+from hcccsim import cli, metrics
 from hcccsim.config import (ConfigError, ScenarioConfig, dump_config,
                             parse_config, parse_config_text, validate)
 
@@ -142,6 +142,8 @@ def test_cli_run_zero_duration(tmp_path):
     text = (out / "hccc_n10_seed1_summary.csv").read_text()
     row = text.strip().splitlines()[1].split(",")
     assert row[4] == "0"    # nothing generated
+    # no post-warmup interval: the post-warmup means are unmeasured
+    assert row[10:13] == ["na", "na", "na"]
 
 
 def test_cli_trace_outputs(tmp_path):
@@ -166,6 +168,9 @@ def test_cli_sweep_paired_seeds(tmp_path, capsys):
                      "--out", str(out)]) == 0
     sweep = (out / "sweep_scheme.csv").read_text()
     assert "packet_loss_ratio" in sweep
+    # the sweep names each metric by its summary column
+    assert all(line.split(",")[2] in metrics.SUMMARY_COLUMNS
+               for line in sweep.splitlines()[1:])
     # one summary per (value, seed), identical seed list across values
     for scheme in ("hccc", "none"):
         for seed in (1, 2):
@@ -177,7 +182,11 @@ def test_cli_sweep_paired_seeds(tmp_path, capsys):
     ["--axis", "seeds", "--values", "1,1"],
     ["--axis", "node_count", "--values", "10,10", "--seeds", "1,2"],
     ["--axis", "offered_load", "--values", "5,5.0"],
-], ids=["seeds", "seeds_axis", "node_count", "offered_load"])
+    # a value validate rejects, after one that runs
+    ["--axis", "scheme", "--values", "hccc,bogus"],
+    ["--axis", "node_count", "--values", "10,1"],
+], ids=["seeds", "seeds_axis", "node_count", "offered_load", "bad_scheme",
+        "bad_node_count"])
 def test_cli_sweep_duplicates_rejected(tmp_path, capsys, args):
     path = tmp_path / "scenario.conf"
     path.write_text("[scenario]\nnode_count = 10\nsource_count = 2\nduration = 1\n")

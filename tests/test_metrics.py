@@ -106,8 +106,8 @@ def test_aggregate_single_report_and_fixture():
     assert agg["packet_loss_ratio"]["mean"] == report.packet_loss_ratio
     assert agg["packet_loss_ratio"]["stddev"] == 0.0
     agg2 = metrics.aggregate([report, report])
-    assert agg2["throughput_mean"]["stddev"] == 0.0
-    assert agg2["throughput_mean"]["min"] == agg2["throughput_mean"]["max"]
+    assert agg2["throughput_mean_pps"]["stddev"] == 0.0
+    assert agg2["throughput_mean_pps"]["min"] == agg2["throughput_mean_pps"]["max"]
 
 
 def test_outcome_partition_fractions_sum_to_one():
