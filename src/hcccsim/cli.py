@@ -123,7 +123,7 @@ def cmd_sweep(args):
                       [(args.axis, value, name, stats["mean"], stats["stddev"],
                         stats["min"], stats["max"])
                        for value, agg in aggregates.items()
-                       for name, stats in agg.items() if stats is not None])
+                       for name, stats in agg.items()])
     for value, reports in results.items():
         loss = aggregates[value]["packet_loss_ratio"]
         print("sweep %s=%s: loss mean=%.4f stddev=%.4f (%d runs)"

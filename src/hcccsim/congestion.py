@@ -1,10 +1,12 @@
 """Per-node hop-by-hop congestion control state and transition rules.
 
-The building blocks are inter-arrival / service-time averaging with drop-tail
-admission, congestion classification, the four-case window/rate adjustment
-applied when downstream buffer feedback arrives, and feedback construction
-with relay suppression.  The feedback signal an RTS carries is one number, a
-buffer occupancy ratio in [0, 1]; it is congested when above ``b_max``.
+The building blocks are inter-arrival / service-time averaging, congestion
+classification, the four-case window/rate adjustment applied when downstream
+buffer feedback arrives, and feedback construction with relay suppression.
+The feedback signal an RTS carries is one number, a buffer occupancy ratio
+in [0, 1]; it is congested when above ``b_max``.  ``CongestionState.buffer``
+is the node's packet buffer, but only the simulation puts packets in and
+takes them out; the rules here read its occupancy.
 ``detect``, ``feedback_update``, ``process_feedback`` and ``should_relay``
 are pure and tested against table-driven fixtures; the others update the
 ``CongestionState`` they are given.  Every function reads its parameters
@@ -74,19 +76,13 @@ class CongestionState:
     def ready(self):
         return self.arrivals_updated and self.departures_updated
 
-    def admit(self, item):
-        """Drop-tail admission: append item unless the buffer is full; True if admitted."""
-        if len(self.buffer) >= self.capacity:
-            return False
-        self.buffer.append(item)
-        return True
 
+def on_packet_arrival(state, t, cfg):
+    """Register a packet arrival at time t in the inter-arrival average.
 
-def on_packet_arrival(state, t, cfg, item):
-    """Register a packet arrival at time t; returns True if admitted to the buffer.
-
-    The inter-arrival average is updated even when the packet is dropped for a
-    full buffer: the arrival itself happened on the medium.
+    The caller observes every arrival before its drop-tail test, so a packet
+    dropped for a full buffer counts too: the arrival itself happened on the
+    medium.
     """
     if state.last_arrival is None:
         state.last_arrival = t
@@ -98,11 +94,12 @@ def on_packet_arrival(state, t, cfg, item):
         state.T_a = (1.0 - cfg.p) * base + cfg.p * gap
         state.last_arrival = t
         state.arrivals_updated = True
-    return state.admit(item)
 
 
 def on_packet_departure(state, t, t_s, cfg):
-    """Register a successful transmission at time t with airtime t_s; pops the head packet."""
+    """Register a successful transmission at time t with airtime t_s in the
+    service average; the caller pops the head packet right after, so the
+    buffer must not be empty."""
     if not state.buffer:
         raise CongestionLogicError("departure with empty buffer")
     if state.last_departure is None:
@@ -115,7 +112,6 @@ def on_packet_departure(state, t, t_s, cfg):
         state.T_s = (1.0 - cfg.p) * base + cfg.p * t_s
         state.last_departure = t
         state.departures_updated = True
-    return state.buffer.popleft()
 
 
 def congestion_degree(state):

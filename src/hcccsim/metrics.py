@@ -117,7 +117,8 @@ def mean_std(values):
 
 
 def aggregate(reports):
-    """Cross-seed mean/stddev/min/max for every scalar metric."""
+    """Cross-seed mean/stddev/min/max for every scalar metric, over the runs
+    that measured it; all four are None for a metric no run measured."""
     if not reports:
         raise ValueError("aggregate requires at least one report")
     out = {}
@@ -127,7 +128,7 @@ def aggregate(reports):
         values = [getattr(r, name) for r in reports]
         values = [v for v in values if v is not None]
         if not values:
-            out[name] = None
+            out[name] = dict.fromkeys(("mean", "stddev", "min", "max"))
             continue
         m, s = mean_std(values)
         out[name] = {"mean": m, "stddev": s, "min": min(values), "max": max(values)}
@@ -150,18 +151,8 @@ def build_report(result):
         cov = rate_std / rate_mean if rate_mean > 0 else 0.0
 
     # Per-source mean rate over the post-warmup samples, for the fairness degree.
-    per_source = []
-    if result.rate_samples and result.rate_samples[0][1]:
-        n_src = len(result.rate_samples[0][1])
-        sums = [0.0] * n_src
-        count = 0
-        for t, rates in result.rate_samples:
-            if t >= warmup_us:
-                count += 1
-                for i, r in enumerate(rates):
-                    sums[i] += r
-        if count:
-            per_source = [s / count for s in sums]
+    post_rates = [rates for t, rates in result.rate_samples if t >= warmup_us]
+    per_source = [sum(col) / len(post_rates) for col in zip(*post_rates)]
     phi = fairness(per_source) if per_source else None
 
     efficiency = (result.energy_remaining_nj / result.energy_initial_nj

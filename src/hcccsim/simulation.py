@@ -33,6 +33,12 @@ ongoing exchange from being trampled by waiting contenders.
 A packet is its row number in the run's ``PacketLog``: node buffers,
 ``Node.last_accepted`` and ``Frame.data_id`` hold that int, and the log's
 columns (origin, seq, hop count) are all the state a packet has.
+
+A node buffer (``Node.cc.buffer``) is a FIFO that only this module changes:
+``_admit`` is the one way in (a drop-tail test against the capacity) and
+``_dequeue`` the one way out (the head packet, sent or given up on).  Under
+HCCC the congestion layer observes each arrival before the drop-tail test
+and each sent packet just before its dequeue; it never moves a packet.
 """
 
 import math
@@ -429,8 +435,7 @@ class Simulation:
             return
         node.retries += 1
         if node.retries > self.timing.retry_limit:
-            pkt = node.cc.buffer.popleft()
-            node.removed += 1
+            pkt = self._dequeue(node)
             # If the next hop accepted the DATA frame, only its ACKs were
             # lost: the packet travels on from there.
             if node.next_hop.last_accepted.get(node.id) != pkt:
@@ -445,9 +450,7 @@ class Simulation:
         if self.is_hccc:
             congestion.on_packet_departure(node.cc, now, self.timing.data_air,
                                            self.cfg)
-        else:
-            node.cc.buffer.popleft()
-        node.removed += 1
+        self._dequeue(node)
         node.access_delay_sum += now - node.access_started_at
         node.access_delay_n += 1
         node.phase = IDLE
@@ -504,16 +507,22 @@ class Simulation:
                 self.sink_expected[origin] = seq + 1
 
     def _admit(self, node, pkt):
+        """Drop-tail admission, the one way into a buffer."""
         now = self.engine.now
+        cc = node.cc
         if self.is_hccc:
-            ok = congestion.on_packet_arrival(node.cc, now, self.cfg, pkt)
-        else:
-            ok = node.cc.admit(pkt)
-        if ok:
-            node.admitted += 1
-            self._start_access(node)
-        else:
+            congestion.on_packet_arrival(cc, now, self.cfg)
+        if len(cc.buffer) >= cc.capacity:
             self.log.finish(pkt, BUFFER_OVERFLOW, now)
+            return
+        cc.buffer.append(pkt)
+        node.admitted += 1
+        self._start_access(node)
+
+    def _dequeue(self, node):
+        """Take the head packet out of the node's buffer, the one way out."""
+        node.removed += 1
+        return node.cc.buffer.popleft()
 
     # ---- traffic --------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 from hcccsim.config import ScenarioConfig, validate
 from hcccsim.topology import NodeSpec, Topology, build_adjacency, compute_routes
+from hcccsim.traffic import IN_FLIGHT, OUTCOME_CODE, joules_to_nj
 
 
 def make_topology(positions, roles, radius=30.0):
@@ -38,12 +39,48 @@ def small_cfg(**overrides):
 
 
 def inject_packet(sim, node):
-    """Hand a packet straight to a node's buffer and kick off channel access.
+    """Generate a packet at a node now and admit it to the node's buffer,
+    which kicks off channel access; returns the packet.
 
     Used with offered_load=0 scenarios to control send timing exactly.
     """
     pkt = sim._new_packet(node)
-    node.cc.buffer.append(pkt)
-    node.admitted += 1
-    sim._start_access(node)
+    sim._admit(node, pkt)
     return pkt
+
+
+def invariant_errors(result):
+    """Outcome partition, energy identity and buffer conservation of a run;
+    an empty list when all hold.
+
+    The run's outcome counts are read off its packet log, so the partition
+    is checked against state the log does not derive from: the packets the
+    nodes generated, and the buffers that hold every packet still in flight.
+    """
+    errors = []
+    generated = sum(node.gen_seq for node in result.nodes)
+    if not generated == result.generated == len(result.records):
+        errors.append("outcome partition: nodes generated %d, result %d, "
+                      "log rows %d" % (generated, result.generated,
+                                       len(result.records)))
+    held = {pkt for node in result.nodes for pkt in node.cc.buffer}
+    in_flight = OUTCOME_CODE[IN_FLIGHT]
+    unheld = [pkt for pkt, code in enumerate(result.records.outcome)
+              if code == in_flight and pkt not in held]
+    if unheld:
+        errors.append("outcome partition: %d in-flight rows in no buffer, "
+                      "first %d" % (len(unheld), unheld[0]))
+    cfg = result.config
+    consumed = result.energy_initial_nj - result.energy_remaining_nj
+    expected = (joules_to_nj(cfg.energy_per_packet) * result.data_attempts
+                + joules_to_nj(cfg.energy_control) * result.ctrl_attempts)
+    if consumed != expected:
+        errors.append("energy identity: consumed %d nJ, expected %d nJ"
+                      % (consumed, expected))
+    for node in result.nodes:
+        if node.admitted - node.removed != len(node.cc.buffer):
+            errors.append("buffer conservation at node %d: admitted %d - "
+                          "removed %d != %d buffered" % (
+                              node.id, node.admitted, node.removed,
+                              len(node.cc.buffer)))
+    return errors

@@ -87,8 +87,8 @@ def test_acceptance_2_averaging_fixtures():
         st = CongestionState(500, 2600, 100.0)
         st.T_s = 10_000.0
         st.T_a = 10_000.0
-        congestion.on_packet_arrival(st, 0, params, "a")
-        congestion.on_packet_arrival(st, 20_000, params, "b")
+        congestion.on_packet_arrival(st, 0, params)
+        congestion.on_packet_arrival(st, 20_000, params)
         assert st.T_a == 13_000.0, params
 
     st = CongestionState(500, 2600, 100.0)

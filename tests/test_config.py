@@ -177,6 +177,25 @@ def test_cli_sweep_paired_seeds(tmp_path, capsys):
             assert (out / ("%s_n15_seed%d_summary.csv" % (scheme, seed))).exists()
 
 
+def test_cli_sweep_writes_unmeasured_metrics_as_na(tmp_path):
+    # 1 s runs inside the 20 s default warmup measure no post-warmup mean;
+    # each metric still gets its row per value, with na statistics.
+    path = tmp_path / "scenario.conf"
+    path.write_text("[scenario]\nnode_count = 10\nsource_count = 2\nduration = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(path), "--axis", "scheme",
+                     "--values", "hccc,none", "--seeds", "1,2",
+                     "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            (out / "sweep_scheme.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 12
+    for scheme in ("hccc", "none"):
+        by_metric = {row[2]: row[3:] for row in rows if row[1] == scheme}
+        assert len(by_metric) == 6
+        assert by_metric["throughput_mean_pps"] == ["na"] * 4
+        assert "na" not in by_metric["packet_loss_ratio"]
+
+
 @pytest.mark.parametrize("args", [
     ["--axis", "scheme", "--values", "hccc", "--seeds", "1,1"],
     ["--axis", "seeds", "--values", "1,1"],

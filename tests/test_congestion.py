@@ -8,6 +8,10 @@ from hcccsim.congestion import (CongestionLogicError, CongestionState,
                                 CLEAR_CONGESTION, NO_CHANGE)
 from hcccsim.config import ScenarioConfig
 from hcccsim.engine import RandomStream
+from hcccsim.simulation import Simulation
+from hcccsim.traffic import BUFFER_OVERFLOW, DELIVERED, OUTCOME_CODE
+
+from conftest import inject_packet, make_topology, small_cfg, two_node_topology
 
 P = ScenarioConfig()
 P_CONV = ScenarioConfig(legacy_ewma=False)
@@ -28,16 +32,16 @@ def test_arrival_average_legacy_fixture():
     # second arrival 20 ms after the first, service average at 10 ms
     st = fresh_state()
     st.T_s = 10_000.0
-    congestion.on_packet_arrival(st, 0, P, "a")
-    congestion.on_packet_arrival(st, 20_000, P, "b")
+    congestion.on_packet_arrival(st, 0, P)
+    congestion.on_packet_arrival(st, 20_000, P)
     assert st.T_a == 13_000.0
 
 
 def test_arrival_average_conventional_fixture():
     st = fresh_state()
     st.T_a = 10_000.0
-    congestion.on_packet_arrival(st, 0, P_CONV, "a")
-    congestion.on_packet_arrival(st, 20_000, P_CONV, "b")
+    congestion.on_packet_arrival(st, 0, P_CONV)
+    congestion.on_packet_arrival(st, 20_000, P_CONV)
     assert st.T_a == 13_000.0
 
 
@@ -62,27 +66,34 @@ def test_departure_average_conventional_fixture():
 def test_first_arrival_initializes_without_ewma_step():
     st = fresh_state()
     before = st.T_a
-    assert congestion.on_packet_arrival(st, 12_345, P, "a") is True
+    congestion.on_packet_arrival(st, 12_345, P)
     assert st.T_a == before
     assert st.last_arrival == 12_345
     assert not st.arrivals_updated
 
 
 def test_full_buffer_drop_still_updates_average():
-    st = fresh_state(capacity=2)
-    fill(st, 2)
-    congestion.on_packet_arrival(st, 0, P, "a")
-    admitted = congestion.on_packet_arrival(st, 5000, P, "b")
-    assert admitted is False
-    assert st.b_r == 1.0
-    assert st.arrivals_updated
+    # The simulation observes an arrival before its drop-tail test, so a
+    # packet dropped at a full buffer still advances T_a.
+    sim = Simulation(small_cfg(node_count=2, source_count=1, scheme="hccc",
+                               buffer_capacity=1),
+                     topology=two_node_topology())
+    source = sim.nodes[1]
+    inject_packet(sim, source)
+    sim.engine.run_until(1000)          # long before the exchange ends
+    dropped = inject_packet(sim, source)
+    st = source.cc
+    assert sim.log.outcome[dropped] == OUTCOME_CODE[BUFFER_OVERFLOW]
+    assert (source.admitted, st.b_r) == (1, 1.0)
+    assert st.arrivals_updated and st.last_arrival == 1000
+    assert st.T_a == (1.0 - P.p) * st.T_s + P.p * 1000
 
 
 def test_arrival_time_backwards_is_fatal():
     st = fresh_state()
-    congestion.on_packet_arrival(st, 1000, P, "a")
+    congestion.on_packet_arrival(st, 1000, P)
     with pytest.raises(CongestionLogicError):
-        congestion.on_packet_arrival(st, 999, P, "b")
+        congestion.on_packet_arrival(st, 999, P)
 
 
 def test_departure_with_empty_buffer_is_fatal():
@@ -92,18 +103,28 @@ def test_departure_with_empty_buffer_is_fatal():
 
 
 def test_departure_pops_fifo_head():
-    st = fresh_state()
-    st.buffer.extend(["first", "second"])
-    assert congestion.on_packet_departure(st, 0, 1600, P) == "first"
-    assert list(st.buffer) == ["second"]
+    # A sent packet is observed in T_s and then leaves the buffer at its
+    # head.  A relay paces at r_cap, so both go out within the second.
+    sim = Simulation(small_cfg(node_count=2, source_count=1, scheme="hccc"),
+                     topology=make_topology([(0.0, 0.0), (10.0, 0.0)],
+                                            ["sink", "relay"]))
+    relay = sim.nodes[1]
+    first, second = inject_packet(sim, relay), inject_packet(sim, relay)
+    sim.engine.run_until(1_000_000)
+    delivered = OUTCOME_CODE[DELIVERED]
+    assert sim.log.outcome[first] == sim.log.outcome[second] == delivered
+    assert sim.log.end_us[first] < sim.log.end_us[second]
+    assert (relay.removed, len(relay.cc.buffer)) == (2, 0)
+    assert relay.cc.departures_updated
 
 
 def test_degree_deferred_until_both_updated():
     st = fresh_state()
     assert congestion.congestion_degree(st) is None
-    congestion.on_packet_arrival(st, 0, P, "a")
-    congestion.on_packet_arrival(st, 1000, P, "b")
+    congestion.on_packet_arrival(st, 0, P)
+    congestion.on_packet_arrival(st, 1000, P)
     assert congestion.congestion_degree(st) is None  # no departure sample yet
+    fill(st, 2)
     congestion.on_packet_departure(st, 2000, 1600, P)
     congestion.on_packet_departure(st, 3000, 1600, P)
     assert congestion.congestion_degree(st) == st.T_s / st.T_a

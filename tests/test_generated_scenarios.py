@@ -5,8 +5,9 @@ nodes, a random field side, radius, offered load, buffer size, window and
 scheme, access jitter 0 or 1000 us, a lossless or lossy channel and, in some
 cases, an energy budget that kills nodes.  A draw that puts fewer than 100
 frames on the air is redrawn from the same stream.  Every case runs with
-carrier sense checked and must pass the channel audit, the outcome
-partition, the energy identity and buffer conservation at every node.
+carrier sense checked and must pass the channel audit and the run
+invariants of ``conftest.invariant_errors``: the outcome partition, the
+energy identity and buffer conservation at every node.
 """
 
 import functools
@@ -16,11 +17,9 @@ import pytest
 from hcccsim.config import SCHEMES, ScenarioConfig, validate
 from hcccsim.engine import RandomStream
 from hcccsim.simulation import Simulation
-from hcccsim.traffic import (BUFFER_OVERFLOW, DELIVERED, IN_FLIGHT,
-                             MAC_RETRY_EXHAUSTED, joules_to_nj)
 
+from conftest import invariant_errors
 from test_channel_audit import audit
-from test_simulation import outcome_tally
 
 CASES = 40
 MIN_FRAMES = 100
@@ -73,22 +72,8 @@ def case(i):
 @pytest.mark.parametrize("i", range(CASES))
 def test_generated_scenario_invariants(i):
     sim, result = case(i)
-    cfg = sim.cfg
     assert audit(sim) == []
-
-    tally = outcome_tally(result)
-    assert sum(tally.values()) == result.generated
-    assert tally[DELIVERED] == result.delivered
-    assert tally[BUFFER_OVERFLOW] == result.overflow_drops
-    assert tally[MAC_RETRY_EXHAUSTED] == result.mac_drops
-    assert tally[IN_FLIGHT] == result.in_flight
-
-    consumed = result.energy_initial_nj - result.energy_remaining_nj
-    assert consumed == (joules_to_nj(cfg.energy_per_packet) * result.data_attempts
-                        + joules_to_nj(cfg.energy_control) * result.ctrl_attempts)
-
-    for node in result.nodes:
-        assert node.admitted - node.removed == len(node.cc.buffer), node.id
+    assert invariant_errors(result) == []
 
 
 def test_generated_cases_cover_the_hard_paths():

@@ -19,7 +19,8 @@ from hcccsim.simulation import Simulation, run_scenario
 from hcccsim.traffic import (DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED,
                              IN_FLIGHT, PacketLog)
 
-from conftest import inject_packet, make_topology, small_cfg, two_node_topology
+from conftest import (inject_packet, invariant_errors, make_topology, small_cfg,
+                      two_node_topology)
 from test_channel_audit import short_run
 from test_golden import SCENARIOS, golden_run
 
@@ -62,27 +63,9 @@ def test_seeds_change_the_run():
     assert (a.generated, a.delivered) != (b.generated, b.delivered)
 
 
-def test_packet_outcome_partition_exact():
-    for scheme in ("hccc", "none", "aimd_e2e"):
-        result = run_scenario(mid_cfg(scheme=scheme))
-        tally = outcome_tally(result)
-        assert sum(tally.values()) == result.generated == len(result.records)
-        assert tally[DELIVERED] == result.delivered
-        assert tally[BUFFER_OVERFLOW] == result.overflow_drops
-        assert tally[MAC_RETRY_EXHAUSTED] == result.mac_drops
-        assert tally[IN_FLIGHT] == result.in_flight
-
-
-def test_per_node_buffer_conservation():
-    result = run_scenario(mid_cfg(scheme="hccc"))
-    for node in result.nodes:
-        assert node.admitted - node.removed == len(node.cc.buffer), node.id
-
-
-def test_energy_identity_exact():
-    result = run_scenario(mid_cfg(scheme="none"))
-    consumed = result.energy_initial_nj - result.energy_remaining_nj
-    assert consumed == 100_000 * result.data_attempts
+@pytest.mark.parametrize("scheme", ["hccc", "none", "aimd_e2e"])
+def test_run_invariants(scheme):
+    assert invariant_errors(run_scenario(mid_cfg(scheme=scheme))) == []
 
 
 def test_energy_identity_with_control_cost():
@@ -90,6 +73,7 @@ def test_energy_identity_with_control_cost():
                                   energy_control=1e-6))
     consumed = result.energy_initial_nj - result.energy_remaining_nj
     assert consumed == 100_000 * result.data_attempts + 1000 * result.ctrl_attempts
+    assert invariant_errors(result) == []
 
 
 def test_dead_nodes_stop_transmitting():
