@@ -63,6 +63,23 @@ def test_seeds_change_the_run():
     assert (a.generated, a.delivered) != (b.generated, b.delivered)
 
 
+def test_packet_outcome_partition_exact():
+    for scheme in ("hccc", "none", "aimd_e2e"):
+        result = run_scenario(mid_cfg(scheme=scheme))
+        tally = outcome_tally(result)
+        assert sum(tally.values()) == result.generated == len(result.records)
+        assert tally[DELIVERED] == result.delivered
+        assert tally[BUFFER_OVERFLOW] == result.overflow_drops
+        assert tally[MAC_RETRY_EXHAUSTED] == result.mac_drops
+        assert tally[IN_FLIGHT] == result.in_flight
+
+
+def test_per_node_buffer_conservation():
+    result = run_scenario(mid_cfg(scheme="hccc"))
+    for node in result.nodes:
+        assert node.admitted - node.removed == len(node.cc.buffer), node.id
+
+
 @pytest.mark.parametrize("scheme", ["hccc", "none", "aimd_e2e"])
 def test_run_invariants(scheme):
     assert invariant_errors(run_scenario(mid_cfg(scheme=scheme))) == []
