@@ -108,12 +108,14 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     cfg = _load_config(args)
-    seeds = _parse_values("seeds", args.seeds) if args.seeds else [cfg.seed]
     if args.axis == "seeds":
+        if args.seeds:
+            raise ConfigError("--axis seeds takes its seeds from --values, not --seeds")
         values = [None]
         seeds = _parse_values("seeds", args.values)
     else:
         values = _parse_values(args.axis, args.values)
+        seeds = _parse_values("seeds", args.seeds) if args.seeds else [cfg.seed]
     out_dir = _out_dir(args)
     results = run_sweep(cfg, args.axis, values, seeds, out_dir)
     path = os.path.join(out_dir, "sweep_%s.csv" % args.axis)
@@ -127,7 +129,8 @@ def cmd_sweep(args):
     for value, reports in results.items():
         loss = aggregates[value]["packet_loss_ratio"]
         print("sweep %s=%s: loss mean=%.4f stddev=%.4f (%d runs)"
-              % (args.axis, value, loss["mean"], loss["stddev"], len(reports)))
+              % (args.axis, "na" if value is None else value, loss["mean"],
+                 loss["stddev"], len(reports)))
     print("wrote %s" % path)
     return 0
 
@@ -171,9 +174,10 @@ def build_parser():
     p_sweep = sub.add_parser("sweep", parents=[common], help="run a parameter sweep")
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True,
-                         help="comma-separated axis values")
+                         help="comma-separated axis values; the seeds for --axis seeds")
     p_sweep.add_argument("--seeds",
-                         help="comma-separated seeds applied to every axis value")
+                         help="comma-separated seeds applied to every axis value "
+                              "(not with --axis seeds)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_dump = sub.add_parser("dump-defaults", help="print the default config")

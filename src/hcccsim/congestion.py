@@ -192,14 +192,12 @@ def apply_feedback(state, w, b_r_down, cfg):
     """Apply downstream feedback to the node state; returns the new window.
 
     A congestion-triggered decrease (either side above threshold) resets the
-    rate high-water mark to the new rate; otherwise the mark tracks the
-    running maximum.
+    rate high-water mark to the new rate.  Otherwise the mark stays: R <= R_max
+    always holds, and an additive increase moves R halfway to R_max, never past.
     """
     r_new, w_new = process_feedback(state, w, b_r_down, cfg)
     state.R = r_new
     if b_r_down > cfg.b_max or state.b_r > cfg.b_max:
-        state.R_max = r_new
-    elif r_new > state.R_max:
         state.R_max = r_new
     return w_new
 

@@ -149,16 +149,14 @@ class Simulation:
     topology may be supplied explicitly (tests build hand-crafted fixtures).
     Every node starts with the window w_max; a test may set ``nodes[i].w``
     before ``run()``, and the baseline schemes never change it.
-    check_carrier asserts that no RTS goes out into a sensed-busy medium.
     """
 
-    def __init__(self, cfg, topology=None, check_carrier=False):
+    def __init__(self, cfg, topology=None):
         self.cfg = cfg
         self.engine = Engine()
         self.timing = MacTiming(cfg)
         self.is_hccc = cfg.scheme == "hccc"
         self.is_aimd = cfg.scheme == "aimd_e2e"
-        self.check_carrier = check_carrier
         self.topology = topology if topology is not None else build_topology(
             cfg, RandomStream(cfg.seed, 0))
 
@@ -379,9 +377,6 @@ class Simulation:
 
     def _tx_rts(self, node):
         now = self.engine.now
-        if self.check_carrier:
-            assert not self._sensed_busy(node, now), \
-                "node %d transmitting into a busy medium at t=%d" % (node.id, now)
         feedback = (congestion.generate_feedback(node.cc, self.cfg)
                     if self.is_hccc else None)
         frame = Frame(RTS, node.id, node.next_hop.id, feedback,
@@ -600,5 +595,5 @@ class Simulation:
         )
 
 
-def run_scenario(cfg, topology=None, check_carrier=False):
-    return Simulation(cfg, topology=topology, check_carrier=check_carrier).run()
+def run_scenario(cfg, topology=None):
+    return Simulation(cfg, topology=topology).run()

@@ -50,12 +50,15 @@ def inject_packet(sim, node):
 
 
 def invariant_errors(result):
-    """Outcome partition, energy identity and buffer conservation of a run;
-    an empty list when all hold.
+    """Outcome partition, energy identity, buffer conservation, rate and
+    window bounds and trace time order of a run; an empty list when all hold.
 
     The run's outcome counts are read off its packet log, so the partition
     is checked against state the log does not derive from: the packets the
     nodes generated, and the buffers that hold every packet still in flight.
+    Every node must end with r_min <= R <= R_max <= r_cap and
+    w_min <= W <= w_max, and every HCCC trace row must show R and W in the
+    same bounds.
     """
     errors = []
     generated = sum(node.gen_seq for node in result.nodes)
@@ -83,4 +86,21 @@ def invariant_errors(result):
                           "removed %d != %d buffered" % (
                               node.id, node.admitted, node.removed,
                               len(node.cc.buffer)))
+        cc = node.cc
+        if not (cfg.r_min <= cc.R <= cc.R_max <= cfg.r_cap
+                and cfg.w_min <= node.w <= cfg.w_max):
+            errors.append("bounds at node %d: R %r, R_max %r, W %r" % (
+                node.id, cc.R, cc.R_max, node.w))
+    for t, node, _, _, rate, window, event in result.hccc_trace:
+        if not (cfg.r_min <= rate <= cfg.r_cap
+                and cfg.w_min <= window <= cfg.w_max):
+            errors.append("bounds in the HCCC trace: node %d at t=%d (%s): "
+                          "R %r, W %r" % (node, t, event, rate, window))
+    for name, trace in (("MAC", result.mac_trace),
+                        ("HCCC", result.hccc_trace)):
+        back = [i for i in range(1, len(trace))
+                if trace[i][0] < trace[i - 1][0]]
+        if back:
+            errors.append("%s trace time goes back at %d rows, first row %d"
+                          % (name, len(back), back[0]))
     return errors

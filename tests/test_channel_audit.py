@@ -135,7 +135,7 @@ RUNS = {
 @functools.lru_cache(maxsize=None)
 def short_run(name):
     cfg = validate(ScenarioConfig(warmup=2.0, trace_mac=True, **RUNS[name]))
-    sim = Simulation(cfg, check_carrier=True)
+    sim = Simulation(cfg)
     sim.run()
     return sim
 

@@ -196,6 +196,19 @@ def test_cli_sweep_writes_unmeasured_metrics_as_na(tmp_path):
         assert "na" not in by_metric["packet_loss_ratio"]
 
 
+def test_cli_sweep_over_seeds_prints_its_value_as_na(tmp_path, capsys):
+    path = tmp_path / "scenario.conf"
+    path.write_text("[scenario]\nnode_count = 10\nsource_count = 2\nduration = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(path), "--axis", "seeds",
+                     "--values", "1,2", "--out", str(out)]) == 0
+    assert "sweep seeds=na: " in capsys.readouterr().out
+    rows = (out / "sweep_seeds.csv").read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[1] == "na" for row in rows)
+    for seed in (1, 2):
+        assert (out / ("hccc_n10_seed%d_summary.csv" % seed)).exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--axis", "scheme", "--values", "hccc", "--seeds", "1,1"],
     ["--axis", "seeds", "--values", "1,1"],
@@ -204,8 +217,10 @@ def test_cli_sweep_writes_unmeasured_metrics_as_na(tmp_path):
     # a value validate rejects, after one that runs
     ["--axis", "scheme", "--values", "hccc,bogus"],
     ["--axis", "node_count", "--values", "10,1"],
+    # the seeds axis takes its seeds from --values only
+    ["--axis", "seeds", "--values", "1,2", "--seeds", "7,8"],
 ], ids=["seeds", "seeds_axis", "node_count", "offered_load", "bad_scheme",
-        "bad_node_count"])
+        "bad_node_count", "seeds_axis_with_seeds"])
 def test_cli_sweep_duplicates_rejected(tmp_path, capsys, args):
     path = tmp_path / "scenario.conf"
     path.write_text("[scenario]\nnode_count = 10\nsource_count = 2\nduration = 1\n")

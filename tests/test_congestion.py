@@ -315,7 +315,7 @@ def test_apply_feedback_r_max_bookkeeping():
     congestion.apply_feedback(st, 16.0, 0.6, P)
     assert st.R == 50.0
     assert st.R_max == 50.0
-    # additive increase tracks the running max
+    # additive increase leaves the mark, which R never passes
     st = feedback_state(1, 50.0, 100.0)
     w = congestion.apply_feedback(st, 16.0, 0.2, P)
     assert st.R == 75.0

@@ -5,9 +5,10 @@ nodes, a random field side, radius, offered load, buffer size, window and
 scheme, access jitter 0 or 1000 us, a lossless or lossy channel and, in some
 cases, an energy budget that kills nodes.  A draw that puts fewer than 100
 frames on the air is redrawn from the same stream.  Every case runs with
-carrier sense checked and must pass the channel audit and the run
-invariants of ``conftest.invariant_errors``: the outcome partition, the
-energy identity and buffer conservation at every node.
+the MAC and HCCC traces on and must pass the channel audit, the MAC audit
+and the run invariants of ``conftest.invariant_errors``: the outcome
+partition, the energy identity, buffer conservation at every node, the
+bounds on R and W and the time order of both traces.
 """
 
 import functools
@@ -18,6 +19,7 @@ from hcccsim.config import SCHEMES, ScenarioConfig, validate
 from hcccsim.engine import RandomStream
 from hcccsim.simulation import Simulation
 
+import test_mac_audit
 from conftest import invariant_errors
 from test_channel_audit import audit
 
@@ -53,7 +55,7 @@ def draw_config(stream):
         energy_initial=0.002 if dying else 0.1,
         energy_control=2e-5 if dying else 0.0,
         duration=4.0, warmup=1.0, seed=stream.uniform_int(1, 10_000),
-        trace_mac=True))
+        trace_mac=True, trace_hccc=True))
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,7 +63,7 @@ def case(i):
     """(simulation, result) of generated case i."""
     stream = RandomStream(10, i)
     for _ in range(50):
-        sim = FreezeCountingSimulation(draw_config(stream), check_carrier=True)
+        sim = FreezeCountingSimulation(draw_config(stream))
         result = sim.run()
         if result.data_attempts + result.ctrl_attempts >= MIN_FRAMES:
             return sim, result
@@ -73,6 +75,7 @@ def case(i):
 def test_generated_scenario_invariants(i):
     sim, result = case(i)
     assert audit(sim) == []
+    assert test_mac_audit.audit(sim) == []
     assert invariant_errors(result) == []
 
 

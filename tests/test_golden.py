@@ -1,10 +1,10 @@
 """Golden output digests: the CSV bytes of short scenarios, pinned across versions.
 
 Each scenario runs through ``cli.run_one`` with every trace on (packets, MAC,
-HCCC) and with the carrier-sense assertion enabled.  The SHA-256 of every CSV
-it writes must equal the digest in ``golden/digests.json``.  A change that
-alters output on purpose declares it in CHANGES.md and regenerates the file,
-which prints every scenario CSV whose digest moved:
+HCCC).  The SHA-256 of every CSV it writes must equal the digest in
+``golden/digests.json``; the channel and MAC audits read the same runs.  A
+change that alters output on purpose declares it in CHANGES.md and
+regenerates the file, which prints every scenario CSV whose digest moved:
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 """
@@ -54,11 +54,11 @@ def scenario_digests(name, out_dir):
                            trace_packets=True, **SCENARIOS[name]))
     sims = []
 
-    def checked(cfg):
-        sims.append(Simulation(cfg, check_carrier=True))
+    def kept(cfg):
+        sims.append(Simulation(cfg))
         return sims[-1]
 
-    original, cli.Simulation = cli.Simulation, checked
+    original, cli.Simulation = cli.Simulation, kept
     try:
         cli.run_one(cfg, out_dir)
     finally:
@@ -73,7 +73,7 @@ def scenario_digests(name, out_dir):
 @functools.lru_cache(maxsize=None)
 def golden_run(name):
     """scenario_digests of one scenario, run once per test session; the
-    channel audit reads the same runs."""
+    channel and MAC audits read the same runs."""
     with tempfile.TemporaryDirectory() as out_dir:
         return scenario_digests(name, out_dir)
 

@@ -7,6 +7,7 @@ from hcccsim.simulation import Simulation
 
 from conftest import (contention_topology, hidden_terminal_topology,
                       inject_packet, small_cfg, two_node_topology)
+from test_mac_audit import audit
 
 
 def test_airtimes_at_1mbps():
@@ -154,12 +155,13 @@ def test_carrier_sense_boundary():
 
 
 def test_no_transmission_into_sensed_busy_medium():
-    # instrumented assertion inside the RTS path across a contended run
+    # the MAC audit over every RTS of a contended run
     cfg = small_cfg(offered_load=50.0, duration=5.0, access_jitter_us=1000,
-                    scheme="none")
-    sim = Simulation(cfg, topology=contention_topology(), check_carrier=True)
+                    scheme="none", trace_mac=True)
+    sim = Simulation(cfg, topology=contention_topology())
     result = sim.run()
     assert result.delivered > 0
+    assert audit(sim) == []
 
 
 def test_frozen_countdown_keeps_its_partial_slot():
