@@ -107,6 +107,8 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
+    if args.seed is not None and (args.seeds or args.axis == "seeds"):
+        raise ConfigError("--seed does not combine with a sweep's seed list")
     cfg = _load_config(args)
     if args.axis == "seeds":
         if args.seeds:

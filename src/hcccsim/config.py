@@ -3,9 +3,11 @@
 An empty file yields the default scenario (100 nodes in a 100m square, 30m
 radius, 20 sources at 5 pps, 200-byte packets at 1 Mbps, 500-packet buffers,
 B_max 0.4, window range [1, 63], 0.1 J initial energy at 1e-4 J per packet).
-Unknown keys are errors, not warnings, and every field is range checked.
+Unknown keys are errors, not warnings, every field is range checked and
+every float field must be finite.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 from .mac import airtime_us
@@ -108,6 +110,9 @@ def validate(cfg):
         if not cond:
             raise ConfigError("%s: %s (got %r)" % (field, msg, getattr(cfg, field)))
 
+    for field, ftype in _FIELD_TYPE.items():
+        if ftype is float:
+            check(math.isfinite(getattr(cfg, field)), field, "must be finite")
     check(cfg.node_count >= 2, "node_count", "must be >= 2")
     check(cfg.area_side > 0, "area_side", "must be positive")
     check(cfg.radius > 0, "radius", "must be positive")

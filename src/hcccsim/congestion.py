@@ -7,9 +7,11 @@ The feedback signal an RTS carries is one number, a buffer occupancy ratio
 in [0, 1]; it is congested when above ``b_max``.  ``CongestionState.buffer``
 is the node's packet buffer, but only the simulation puts packets in and
 takes them out; the rules here read its occupancy.
-``detect``, ``feedback_update``, ``process_feedback`` and ``should_relay``
-are pure and tested against table-driven fixtures; the others update the
-``CongestionState`` they are given.  Every function reads its parameters
+``feedback_update``, ``process_feedback`` and ``should_relay`` are pure and
+tested against table-driven fixtures.  ``on_packet_arrival``,
+``on_packet_departure``, ``apply_detect``, ``apply_feedback`` and
+``generate_feedback`` update the ``CongestionState`` they are given, one
+function per event of the node.  Every function reads its parameters
 (p, b_max, w_min, w_max, r_min, r_cap, legacy_ewma) from the same-named
 fields of a ``ScenarioConfig``.
 
@@ -72,10 +74,6 @@ class CongestionState:
     def b_r(self):
         return len(self.buffer) / self.capacity
 
-    @property
-    def ready(self):
-        return self.arrivals_updated and self.departures_updated
-
 
 def on_packet_arrival(state, t, cfg):
     """Register a packet arrival at time t in the inter-arrival average.
@@ -114,46 +112,29 @@ def on_packet_departure(state, t, t_s, cfg):
         state.departures_updated = True
 
 
-def congestion_degree(state):
-    """T_s / T_a, or None until both averages have been updated once."""
-    if not state.ready:
-        return None
-    return state.T_s / state.T_a
+def apply_detect(state, cfg):
+    """Classify the node's congestion condition on a channel access.
 
-
-def detect(state, cfg):
-    """Classify the node's congestion condition.  Pure: does not mutate state.
-
-    Strict inequalities throughout; equality falls to the less aggressive
-    branch.  A draining buffer (C_d <= 1 with occupancy still above threshold)
-    yields NO_CHANGE.
+    Stores the congestion degree C_d = T_s / T_a in ``state.C_d``; it stays
+    None, and the outcome NO_CHANGE, until both averages have been updated
+    once.  Strict inequalities throughout; equality falls to the less
+    aggressive branch.  A draining buffer (C_d <= 1 with occupancy still above
+    threshold) yields NO_CHANGE.  Only DAMP_LOCAL_RATE changes the state; the
+    other outcomes are returned for the trace.
     """
-    c_d = congestion_degree(state)
-    if c_d is None:
+    if not (state.arrivals_updated and state.departures_updated):
         return NO_CHANGE
-    b_r = state.b_r
+    c_d = state.C_d = state.T_s / state.T_a
     if c_d > 1.0:
-        if b_r > cfg.b_max:
+        if state.b_r > cfg.b_max:
             return DECLARE_CONGESTION
+        # Restores the arrival/departure balance implied by the degree definition.
+        state.R = max(cfg.r_min, state.R / c_d)
+        state.R_max = state.R
         return DAMP_LOCAL_RATE
-    if b_r <= cfg.b_max:
+    if state.b_r <= cfg.b_max:
         return CLEAR_CONGESTION
     return NO_CHANGE
-
-
-def apply_detect(state, cfg):
-    """Recompute C_d, classify, and apply the resulting state change.
-
-    Only DAMP_LOCAL_RATE changes the state; the other actions are returned
-    for the trace.
-    """
-    state.C_d = congestion_degree(state)
-    action = detect(state, cfg)
-    if action == DAMP_LOCAL_RATE:
-        # Restores the arrival/departure balance implied by the degree definition.
-        state.R = max(cfg.r_min, state.R / state.C_d)
-        state.R_max = state.R
-    return action
 
 
 def feedback_update(b_local, b_down, r, w, r_max, cfg):
@@ -185,20 +166,26 @@ def process_feedback(state, w, b_r_down, cfg):
     if not 0.0 <= b_r_down <= 1.0:
         raise ValueError("malformed feedback occupancy ratio %r" % (b_r_down,))
     r_new, w_new = feedback_update(state.b_r, b_r_down, state.R, w, state.R_max, cfg)
-    return clamp_rate(r_new, cfg), clamp_window(w_new, cfg)
+    return (min(max(r_new, cfg.r_min), cfg.r_cap),
+            float(min(max(w_new, cfg.w_min), cfg.w_max)))
 
 
 def apply_feedback(state, w, b_r_down, cfg):
-    """Apply downstream feedback to the node state; returns the new window.
+    """Act on a downstream occupancy ratio heard on the next hop's RTS; returns
+    the new window.
 
     A congestion-triggered decrease (either side above threshold) resets the
     rate high-water mark to the new rate.  Otherwise the mark stays: R <= R_max
     always holds, and an additive increase moves R halfway to R_max, never past.
+    The ratio is then held in ``relay`` if ``should_relay`` says so.  Raises
+    ValueError for a ratio outside [0, 1], leaving the state unchanged.
     """
     r_new, w_new = process_feedback(state, w, b_r_down, cfg)
     state.R = r_new
     if b_r_down > cfg.b_max or state.b_r > cfg.b_max:
         state.R_max = r_new
+    if should_relay(state, b_r_down, cfg):
+        state.relay = b_r_down
     return w_new
 
 
@@ -215,19 +202,6 @@ def should_relay(state, incoming, cfg):
     if state.b_r > cfg.b_max:
         return False
     return cfg.b_max < incoming and state.sent_own
-
-
-def on_feedback(state, w, incoming, cfg):
-    """Act on a downstream signal heard on the next hop's RTS; returns the new window.
-
-    Applies the four-case adjustment, then holds the signal for relaying if
-    ``should_relay`` says so.  Raises ValueError for an occupancy ratio
-    outside [0, 1], leaving the state unchanged.
-    """
-    w_new = apply_feedback(state, w, incoming, cfg)
-    if should_relay(state, incoming, cfg):
-        state.relay = incoming
-    return w_new
 
 
 def generate_feedback(state, cfg):
@@ -247,19 +221,3 @@ def generate_feedback(state, cfg):
         state.sent_own = False
         return relayed
     return b_r
-
-
-def clamp_window(w, cfg):
-    if w < cfg.w_min:
-        return float(cfg.w_min)
-    if w > cfg.w_max:
-        return float(cfg.w_max)
-    return w
-
-
-def clamp_rate(r, cfg):
-    if r < cfg.r_min:
-        return cfg.r_min
-    if r > cfg.r_cap:
-        return cfg.r_cap
-    return r

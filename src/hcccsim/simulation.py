@@ -356,7 +356,7 @@ class Simulation:
             fb = node.pending_feedback
             if fb is not None:
                 node.pending_feedback = None
-                node.w = congestion.on_feedback(cc, node.w, fb, self.cfg)
+                node.w = congestion.apply_feedback(cc, node.w, fb, self.cfg)
                 if self.cfg.trace_hccc:
                     self.hccc_trace.append((now, node.id, cc.b_r, cc.C_d, cc.R,
                                             node.w, "feedback"))

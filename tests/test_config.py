@@ -93,6 +93,11 @@ def test_validate_range_errors_name_fields():
         (dict(buffer_capacity=0), "buffer_capacity"),
         (dict(energy_initial=0.0), "energy_initial"),
         (dict(bit_rate=400e6), "bit_rate"),
+        (dict(duration=float("inf")), "duration"),
+        (dict(window=float("inf")), "window"),
+        (dict(energy_initial=float("inf")), "energy_initial"),
+        (dict(area_side=float("inf")), "area_side"),
+        (dict(offered_load=float("inf")), "offered_load"),
     ]
     for overrides, name in bad:
         with pytest.raises(ConfigError) as err:
@@ -219,8 +224,12 @@ def test_cli_sweep_over_seeds_prints_its_value_as_na(tmp_path, capsys):
     ["--axis", "node_count", "--values", "10,1"],
     # the seeds axis takes its seeds from --values only
     ["--axis", "seeds", "--values", "1,2", "--seeds", "7,8"],
+    # --seed would be overridden by the sweep's seed list
+    ["--axis", "scheme", "--values", "hccc", "--seeds", "1,2", "--seed", "5"],
+    ["--axis", "seeds", "--values", "1,2", "--seed", "5"],
 ], ids=["seeds", "seeds_axis", "node_count", "offered_load", "bad_scheme",
-        "bad_node_count", "seeds_axis_with_seeds"])
+        "bad_node_count", "seeds_axis_with_seeds", "seed_with_seeds",
+        "seeds_axis_with_seed"])
 def test_cli_sweep_duplicates_rejected(tmp_path, capsys, args):
     path = tmp_path / "scenario.conf"
     path.write_text("[scenario]\nnode_count = 10\nsource_count = 2\nduration = 1\n")

@@ -120,14 +120,17 @@ def test_departure_pops_fifo_head():
 
 def test_degree_deferred_until_both_updated():
     st = fresh_state()
-    assert congestion.congestion_degree(st) is None
+    congestion.apply_detect(st, P)
+    assert st.C_d is None
     congestion.on_packet_arrival(st, 0, P)
     congestion.on_packet_arrival(st, 1000, P)
-    assert congestion.congestion_degree(st) is None  # no departure sample yet
+    congestion.apply_detect(st, P)
+    assert st.C_d is None  # no departure sample yet
     fill(st, 2)
     congestion.on_packet_departure(st, 2000, 1600, P)
     congestion.on_packet_departure(st, 3000, 1600, P)
-    assert congestion.congestion_degree(st) == st.T_s / st.T_a
+    congestion.apply_detect(st, P)
+    assert st.C_d == st.T_s / st.T_a
 
 
 # ---- detection ----------------------------------------------------------
@@ -155,13 +158,14 @@ def test_detect_rule_table():
     ]
     for t_s, t_a, occ, expected in cases:
         st = ready_state(t_s, t_a, occ)
-        assert congestion.detect(st, P) == expected, (t_s, t_a, occ)
+        assert congestion.apply_detect(st, P) == expected, (t_s, t_a, occ)
 
 
 def test_detect_before_ready_is_no_change():
     st = fresh_state()
     fill(st, 400)
-    assert congestion.detect(st, P) == NO_CHANGE
+    assert congestion.apply_detect(st, P) == NO_CHANGE
+    assert st.C_d is None
 
 
 def test_apply_detect_sets_and_clears_flag():
@@ -321,6 +325,33 @@ def test_apply_feedback_r_max_bookkeeping():
     assert st.R == 75.0
     assert st.R_max == 100.0
     assert w == 32.0
+
+
+def test_apply_feedback_relay_hold():
+    # a congested ratio is held only when sent_own is set and the node itself
+    # is not congested
+    st = feedback_state(2, 100.0, 100.0)
+    st.sent_own = True
+    congestion.apply_feedback(st, 16.0, 0.7, P)
+    assert st.relay == 0.7
+    st = feedback_state(2, 100.0, 100.0)
+    congestion.apply_feedback(st, 16.0, 0.7, P)
+    assert st.relay is None
+    st = feedback_state(6, 100.0, 100.0)
+    st.sent_own = True
+    congestion.apply_feedback(st, 16.0, 0.7, P)
+    assert st.relay is None
+    st = feedback_state(2, 100.0, 100.0)
+    st.sent_own = True
+    congestion.apply_feedback(st, 16.0, 0.1, P)
+    assert st.relay is None
+    # a malformed ratio raises before anything changes
+    for bad in (-0.1, 1.5):
+        st = feedback_state(2, 80.0, 120.0)
+        st.sent_own = True
+        with pytest.raises(ValueError):
+            congestion.apply_feedback(st, 16.0, bad, P)
+        assert (st.R, st.R_max, st.relay) == (80.0, 120.0, None)
 
 
 def test_r_max_never_below_r():
