@@ -1,7 +1,8 @@
 """Command-line front end: single runs, sweeps, config validation and defaults.
 
 Output is CSV only; file names encode scheme, node count and seed so sweep
-results can be collated by external plotting tools.
+results can be collated by external plotting tools; a sweep over
+offered_load writes each load's runs into a directory ``offered_load_<value>``.
 """
 
 import argparse
@@ -79,7 +80,10 @@ def run_sweep(cfg, axis, values, seeds, out_dir):
     for value in values:
         fixed = {} if axis == "seeds" else {axis: value}
         run_cfgs[value] = [validate(replace(cfg, seed=seed, **fixed)) for seed in seeds]
-    return {value: [run_one(c, out_dir) for c in cfgs] for value, cfgs in run_cfgs.items()}
+    # The run tag names every axis but offered_load.
+    return {value: [run_one(c, os.path.join(out_dir, "offered_load_%r" % value)
+                            if axis == "offered_load" else out_dir) for c in cfgs]
+            for value, cfgs in run_cfgs.items()}
 
 
 def _parse_values(axis, raw):

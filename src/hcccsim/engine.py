@@ -32,6 +32,16 @@ def keyed_random(seed, receiver, frame):
     return z / 18446744073709551616.0
 
 
+def keyed_seed_mix(seed):
+    """The first mixing round of keyed_random, the same for a whole run."""
+    return _splitmix64(seed & _MASK64)
+
+
+def keyed_draw(seed_mix, receiver, frame):
+    """keyed_random(seed, receiver, frame) with seed_mix = keyed_seed_mix(seed)."""
+    return _splitmix64(_splitmix64(seed_mix ^ frame) ^ receiver) / 18446744073709551616.0
+
+
 class RandomStream:
     """One independent deterministic random sequence per (seed, stream_id)."""
 
@@ -48,22 +58,24 @@ class RandomStream:
     def next_u64(self):
         x = self._state
         x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK64
+        x = (x ^ (x << 25)) & 0xFFFFFFFFFFFFFFFF
         x ^= x >> 27
         self._state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK64
+        return (x * 0x2545F4914F6CDD1D) & 0xFFFFFFFFFFFFFFFF
 
     def uniform_int(self, lo, hi):
         """Uniform integer in [lo, hi], unbiased via bounded rejection."""
-        if lo > hi:
-            raise SchedulingError("uniform_int: lo=%r > hi=%r" % (lo, hi))
         n = hi - lo + 1
-        if n == 1:
-            return lo
-        limit = (1 << 64) - ((1 << 64) % n)
+        if n <= 1:
+            if n == 1:
+                return lo
+            raise SchedulingError("uniform_int: lo=%r > hi=%r" % (lo, hi))
         u = self.next_u64()
-        while u >= limit:
-            u = self.next_u64()
+        if u > 0xFFFFFFFFFFFFFFFF - n:
+            # Only a draw this near 2**64 can lie past the last multiple of n.
+            limit = (1 << 64) - ((1 << 64) % n)
+            while u >= limit:
+                u = self.next_u64()
         return lo + (u % n)
 
     def random(self):
@@ -73,6 +85,8 @@ class RandomStream:
 
 class Engine:
     """Single-threaded event loop.  A run owns all mutable state."""
+
+    __slots__ = ("now", "_queue", "_seq", "processed")
 
     def __init__(self):
         self.now = 0
@@ -85,18 +99,23 @@ class Engine:
             raise SchedulingError(
                 "event scheduled at t=%d before current clock t=%d" % (time, self.now)
             )
-        self._seq += 1
-        heappush(self._queue, (time, self._seq, fn, args))
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (time, seq, fn, args))
 
     def run_until(self, limit):
         """Process every event with time <= limit; returns the number processed."""
         q = self._queue
-        count = 0
-        while q and q[0][0] <= limit:
-            time, _seq, fn, args = heappop(q)
+        # An event pending now or scheduled during the call ends dispatched or pending.
+        uncounted = self._seq - len(q)
+        while q:
+            time, seq, fn, args = heappop(q)
+            if time > limit:
+                # Back in the heap with its seq, so its order is kept.
+                heappush(q, (time, seq, fn, args))
+                break
             self.now = time
             fn(*args)
-            count += 1
+        count = self._seq - len(q) - uncounted
         self.now = limit
         self.processed += count
         return count

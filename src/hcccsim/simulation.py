@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from . import congestion
 from .config import ScenarioConfig
 from .congestion import CongestionState
-from .engine import Engine, RandomStream, keyed_random
+from .engine import Engine, RandomStream, keyed_draw, keyed_seed_mix
 from .mac import RTS, CTS, DATA, ACK, Frame, MacTiming, draw_backoff
 from .topology import build_topology
 from .traffic import (AimdSource, EnergyBook, PacketLog, OUTCOME_CODE,
@@ -157,6 +157,8 @@ class Simulation:
         self.timing = MacTiming(cfg)
         self.is_hccc = cfg.scheme == "hccc"
         self.is_aimd = cfg.scheme == "aimd_e2e"
+        self.seed_mix = keyed_seed_mix(cfg.seed)
+        self.trace_mac = cfg.trace_mac
         self.topology = topology if topology is not None else build_topology(
             cfg, RandomStream(cfg.seed, 0))
 
@@ -260,7 +262,7 @@ class Simulation:
                 n.rx_frame = frame if n.tx_end <= now else None
             if n.wake_time > now:
                 self._freeze(n, now)
-        if self.cfg.trace_mac:
+        if self.trace_mac:
             self.mac_trace.append((now, node.id, frame.kind, frame.dst, "tx_start"))
         self.engine.schedule(end, self._tx_end, node, frame)
 
@@ -276,7 +278,7 @@ class Simulation:
                     n.pending_feedback = frame.feedback
         if received:
             self._on_frame(dst, frame)
-        if self.cfg.trace_mac:
+        if self.trace_mac:
             if received:
                 outcome = "ok"
             elif not frame.heard:
@@ -293,26 +295,24 @@ class Simulation:
     def _decoded(self, n, frame, fer):
         """n is alive, heard the frame clean and its keyed error draw spares it."""
         return (n.alive and (n.rx_frame is frame or n.rx_prev is frame)
-                and not (fer and keyed_random(self.cfg.seed, n.id,
-                                              frame.serial) < fer))
+                and not (fer and keyed_draw(self.seed_mix, n.id, frame.serial) < fer))
 
     # ---- backoff --------------------------------------------------------
-
-    def _schedule_wake(self, node, at):
-        node.epoch += 1
-        self.engine.schedule(at, self._backoff_wake, node, node.epoch)
 
     def _defer(self, node, base):
         """Wake one DIFS plus the access jitter after base."""
         jmax = self.timing.jitter_max
-        jitter = node.stream.uniform_int(0, jmax - 1) if jmax > 0 else 0
-        self._schedule_wake(node, base + self.timing.difs + jitter)
+        if jmax > 0:
+            base += node.stream.uniform_int(0, jmax - 1)
+        node.epoch += 1
+        self.engine.schedule(base + self.timing.difs, self._backoff_wake, node, node.epoch)
 
     def _freeze(self, node, now):
         # Keep the slot in progress: count only whole slots as done.
         node.remaining = -((now - node.wake_time) // self.timing.slot)
         node.wake_time = 0
-        self._defer(node, max(node.busy_until, node.tx_end))
+        busy_until, tx_end = node.busy_until, node.tx_end
+        self._defer(node, busy_until if busy_until > tx_end else tx_end)
 
     def _backoff_wake(self, node, epoch):
         if epoch != node.epoch or not node.alive or node.phase != BACKOFF:
@@ -322,7 +322,8 @@ class Simulation:
             # The countdown ran out.
             node.wake_time = node.remaining = 0
         if self._sensed_busy(node, now):
-            self._defer(node, max(node.busy_until, node.tx_end))
+            busy_until, tx_end = node.busy_until, node.tx_end
+            self._defer(node, busy_until if busy_until > tx_end else tx_end)
         elif now < node.responding_until:
             self._defer(node, node.responding_until)
         elif node.remaining <= 0:
@@ -332,8 +333,9 @@ class Simulation:
             # occupies the medium for the rest of the countdown.
             self._defer(node, node.busy_until)
         else:
-            node.wake_time = now + node.remaining * self.timing.slot
-            self._schedule_wake(node, node.wake_time)
+            node.wake_time = at = now + node.remaining * self.timing.slot
+            node.epoch += 1
+            self.engine.schedule(at, self._backoff_wake, node, node.epoch)
 
     # ---- channel access / exchange --------------------------------------
 

@@ -1,7 +1,7 @@
 """Config parsing/validation round-trips and the command-line front end."""
 
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -212,6 +212,25 @@ def test_cli_sweep_over_seeds_prints_its_value_as_na(tmp_path, capsys):
     assert rows and all(row.split(",")[1] == "na" for row in rows)
     for seed in (1, 2):
         assert (out / ("hccc_n10_seed%d_summary.csv" % seed)).exists()
+
+
+def test_cli_sweep_over_offered_load_keeps_every_run(tmp_path):
+    # The run tag does not name the load, so each load writes its own
+    # directory; each run's summary holds that run's report.
+    path = tmp_path / "scenario.conf"
+    path.write_text("[scenario]\nnode_count = 10\nsource_count = 2\nduration = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(path), "--axis", "offered_load",
+                     "--values", "1,5", "--seeds", "1,2", "--out", str(out)]) == 0
+    base = parse_config(str(path))
+    for load in (1.0, 5.0):
+        for seed in (1, 2):
+            name = "hccc_n10_seed%d_summary.csv" % seed
+            alone = tmp_path / ("alone_%r_%d" % (load, seed))
+            cli.run_one(replace(base, offered_load=load, seed=seed), str(alone))
+            assert ((out / ("offered_load_%r" % load) / name).read_bytes()
+                    == (alone / name).read_bytes())
+    assert not list(out.glob("*_summary.csv"))
 
 
 @pytest.mark.parametrize("args", [

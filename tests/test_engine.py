@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from hcccsim.engine import Engine, RandomStream, SchedulingError, keyed_random
+from hcccsim.engine import (Engine, RandomStream, SchedulingError, keyed_draw,
+                            keyed_random, keyed_seed_mix)
 
 
 def test_schedule_at_current_time_dispatches():
@@ -23,6 +24,21 @@ def test_ties_dispatch_in_scheduling_order():
         eng.schedule(50, seen.append, tag)
     eng.run_until(100)
     assert seen == ["first", "second", "third"]
+
+
+def test_ties_left_past_the_limit_dispatch_in_scheduling_order():
+    eng = Engine()
+    seen = []
+    for tag in ("a", "b", "c"):
+        eng.schedule(200, seen.append, tag)
+    eng.schedule(50, seen.append, "early")
+    eng.schedule(200, seen.append, "d")
+    assert eng.run_until(100) == 1
+    assert eng.run_until(150) == 0
+    eng.schedule(200, seen.append, "e")
+    assert eng.run_until(200) == 5
+    assert seen == ["early", "a", "b", "c", "d", "e"]
+    assert eng.processed == 6
 
 
 def test_schedule_into_past_is_fatal():
@@ -133,6 +149,18 @@ def test_keyed_random_is_a_pure_function_of_its_key():
     assert len({keyed_random(3, 5, 7), keyed_random(4, 5, 7),
                 keyed_random(3, 7, 5), keyed_random(3, 5, 8),
                 keyed_random(3, 6, 7)}) == 5
+
+
+def test_keyed_draw_from_a_seed_mix_equals_keyed_random():
+    # Seeds at and past 2**64 and below 0 check that the mix masks the seed
+    # to 64 bits as keyed_random does.
+    for seed in (0, 1, 7, 2**63, 2**64 - 1, 2**64, 2**64 + 5, 3 * 2**64 + 11,
+                 -1, -12345):
+        mix = keyed_seed_mix(seed)
+        for receiver in (0, 1, 2, 99, 1599):
+            for frame in (0, 1, 2, 1000, 2**31, 2**40):
+                assert (keyed_draw(mix, receiver, frame)
+                        == keyed_random(seed, receiver, frame))
 
 
 def test_keyed_random_hits_and_neighbouring_keys_within_5_sigma():
