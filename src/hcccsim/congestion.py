@@ -24,7 +24,6 @@ exponential averages.
 """
 
 import math
-from collections import deque
 
 
 class CongestionLogicError(Exception):
@@ -61,7 +60,7 @@ class CongestionState:
         self.last_arrival = None
         self.last_departure = None
         self.C_d = None
-        self.buffer = deque()
+        self.buffer = []
         self.capacity = capacity
         self.R = r_init
         self.R_max = r_init

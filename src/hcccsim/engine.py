@@ -73,6 +73,9 @@ class RandomStream:
         u = self.next_u64()
         if u > 0xFFFFFFFFFFFFFFFF - n:
             # Only a draw this near 2**64 can lie past the last multiple of n.
+            if n > 1 << 64:
+                raise SchedulingError(
+                    "uniform_int: more than 2**64 values in [%r, %r]" % (lo, hi))
             limit = (1 << 64) - ((1 << 64) % n)
             while u >= limit:
                 u = self.next_u64()

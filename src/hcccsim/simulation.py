@@ -34,7 +34,13 @@ A packet is its row number in the run's ``PacketLog``: node buffers,
 ``Node.last_accepted`` and ``Frame.data_id`` hold that int, and the log's
 columns (origin, seq, hop count) are all the state a packet has.
 
-A node buffer (``Node.cc.buffer``) is a FIFO that only this module changes:
+The links between nodes live on the Simulation, indexed by node id:
+``neighbors[i]`` (in ascending id order) and ``children[i]`` (the nodes
+routing through i).  A node keeps only ``next_hop``, and the routes form a
+tree toward the sink, so no reference cycle joins the nodes: dropping a run's
+Simulation and RunResult frees it by reference counting alone.
+
+A node buffer (``Node.cc.buffer``) is a FIFO list that only this module changes:
 ``_admit`` is the one way in (a drop-tail test against the capacity) and
 ``_dequeue`` the one way out (the head packet, sent or given up on).  Under
 HCCC the congestion layer observes each arrival before the drop-tail test
@@ -63,13 +69,13 @@ AWAIT_ACK = 4
 
 class Node:
     __slots__ = (
-        "id", "role", "neighbors", "next_hop",
+        "id", "role", "next_hop",
         "stream", "energy", "alive", "death_time",
         "cc", "w", "aimd",
         "phase", "remaining", "wake_time",     # wake_time 0: no countdown
         "epoch", "retries", "access_pending", "access_started_at",
         "next_access_time",
-        "children", "tx_end", "busy_until", "busy_since", "rx_frame", "rx_prev",
+        "tx_end", "busy_until", "busy_since", "rx_frame", "rx_prev",
         "responding_until",
         "pending_feedback", "last_accepted", "gen_seq",
         "access_delay_sum",
@@ -80,8 +86,6 @@ class Node:
     def __init__(self, spec, stream, energy, cc, w):
         self.id = spec.id
         self.role = spec.role
-        self.neighbors = []
-        self.children = []
         self.next_hop = None
         self.stream = stream
         self.energy = energy
@@ -174,12 +178,14 @@ class Simulation:
                 r_init = cfg.r_cap
             cc = CongestionState(cfg.buffer_capacity, nominal_service, r_init)
             nodes.append(Node(spec, stream, energy, cc, float(cfg.w_max)))
+        self.neighbors = [[nodes[j] for j in adj]
+                          for adj in self.topology.adjacency]
+        self.children = [[] for _ in nodes]
         for node in nodes:
-            node.neighbors = [nodes[j] for j in self.topology.adjacency[node.id]]
             nh = self.topology.next_hop[node.id]
             if nh is not None:
                 node.next_hop = nodes[nh]
-                node.next_hop.children.append(node)
+                self.children[nh].append(node)
         self.nodes = nodes
 
         self.sources = [n for n in nodes if n.role == "source"
@@ -245,7 +251,7 @@ class Simulation:
         frame.serial = self.data_attempts + self.ctrl_attempts
         if node.wake_time > now:
             self._freeze(node, now)
-        for n in node.neighbors:
+        for n in self.neighbors[node.id]:
             if not n.alive:
                 continue
             if n.busy_until > now:
@@ -273,7 +279,7 @@ class Simulation:
         fer = self.timing.error_rate(frame.kind)
         received = self._decoded(dst, frame, fer)
         if frame.feedback is not None:
-            for n in node.children:
+            for n in self.children[node.id]:
                 if self._decoded(n, frame, fer):
                     n.pending_feedback = frame.feedback
         if received:
@@ -519,7 +525,7 @@ class Simulation:
     def _dequeue(self, node):
         """Take the head packet out of the node's buffer, the one way out."""
         node.removed += 1
-        return node.cc.buffer.popleft()
+        return node.cc.buffer.pop(0)
 
     # ---- traffic --------------------------------------------------------
 

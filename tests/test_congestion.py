@@ -8,6 +8,7 @@ from hcccsim.congestion import (CongestionLogicError, CongestionState,
                                 CLEAR_CONGESTION, NO_CHANGE)
 from hcccsim.config import ScenarioConfig
 from hcccsim.engine import RandomStream
+from hcccsim.mac import MacTiming
 from hcccsim.simulation import Simulation
 from hcccsim.traffic import BUFFER_OVERFLOW, DELIVERED, OUTCOME_CODE
 
@@ -131,6 +132,50 @@ def test_degree_deferred_until_both_updated():
     congestion.on_packet_departure(st, 3000, 1600, P)
     congestion.apply_detect(st, P)
     assert st.C_d == st.T_s / st.T_a
+
+
+# ROADMAP item 11 pins what C_d = T_s / T_a compares in each averaging mode.
+# These tests describe today's behaviour; they do not endorse it.
+GAPS = (0, 1, 400, 1000, 1599, 1600, 1601, 2600, 4000, 12_345, 100_000)
+
+
+def test_legacy_degree_compares_the_last_arrival_gap_with_T_s():
+    # T_a = (1-p) T_s + p g_a keeps no history, so with no departure after
+    # the last arrival C_d > 1 exactly when the last arrival gap g_a < T_s.
+    data_air = MacTiming(P).data_air
+    for g_d in GAPS:
+        for g_a in GAPS:
+            st = fresh_state()
+            fill(st, 2)
+            congestion.on_packet_arrival(st, 0, P)
+            congestion.on_packet_arrival(st, 100_000 - g_a, P)
+            congestion.on_packet_departure(st, 100_000, data_air, P)
+            congestion.on_packet_departure(st, 100_000 + g_d, data_air, P)
+            congestion.on_packet_arrival(st, 100_000 + g_d, P)
+            congestion.on_packet_arrival(st, 100_000 + g_d + g_a, P)
+            congestion.apply_detect(st, P)
+            assert (st.C_d > 1.0) == (g_a < st.T_s), (g_d, g_a, st.T_s)
+
+
+def test_conventional_service_average_tends_to_the_data_airtime():
+    # legacy_ewma = false averages the airtime it is handed, never a gap:
+    # T_s falls from its seed (airtime plus a slot) to the airtime,
+    # the same for every sequence of departure gaps.
+    data_air = MacTiming(P_CONV).data_air
+    stream = RandomStream(11)
+    ends = set()
+    for run in range(5):
+        st = fresh_state(nominal=data_air + MacTiming(P_CONV).slot)
+        fill(st, 100)
+        t, trail = 0, []
+        for _ in range(100):
+            t += 0 if run == 0 else stream.uniform_int(0, 10 ** run)
+            congestion.on_packet_departure(st, t, data_air, P_CONV)
+            trail.append(st.T_s)
+        assert trail == sorted(trail, reverse=True)
+        ends.add(st.T_s)
+    assert len(ends) == 1
+    assert abs(ends.pop() - data_air) < 1e-9
 
 
 # ---- detection ----------------------------------------------------------

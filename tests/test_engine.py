@@ -1,9 +1,14 @@
 """Event engine: dispatch order, clock discipline, PRNG streams."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hcccsim
 from hcccsim.engine import (Engine, RandomStream, SchedulingError, keyed_draw,
                             keyed_random, keyed_seed_mix)
 
@@ -114,6 +119,27 @@ def test_uniform_int_invalid_range_fatal():
     s = RandomStream(9)
     with pytest.raises(SchedulingError):
         s.uniform_int(5, 4)
+
+
+def test_uniform_int_full_64_bit_range():
+    # 2**64 values: every draw is kept, so the result is the raw draw.
+    assert RandomStream(9).uniform_int(0, 2**64 - 1) == RandomStream(9).next_u64()
+
+
+def test_uniform_int_range_past_64_bits_fatal():
+    # No multiple of such a range lies below 2**64, so a rejection loop would
+    # never end; the draw runs in a child process, where a hang fails.
+    code = ("from hcccsim.engine import RandomStream, SchedulingError\n"
+            "try:\n"
+            "    RandomStream(1).uniform_int(0, 2**64)\n"
+            "except SchedulingError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('uniform_int(0, 2**64) returned')\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hcccsim.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=30,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_uniform_int_bounds():

@@ -135,6 +135,27 @@ def test_finished_run_is_freed_by_reference_counting(scheme):
             gc.enable()
 
 
+def test_dropped_run_leaves_no_cyclic_garbage():
+    # Node links live on the Simulation and next_hop forms a tree, so
+    # reference counting alone frees a built field and a finished run.
+    cfg = validate(ScenarioConfig(duration=2.0))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulation(cfg)
+        del sim
+        assert gc.collect() == 0
+        sim = Simulation(cfg)
+        result = sim.run()
+        assert result.generated > 0
+        del sim, result
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_packet_accounting_takes_few_bytes_per_packet():
     # Saturated: most packets end in a buffer or overflow it.  Dropping the
     # run's packet log must free it (at least 16 B a packet, so nothing
