@@ -53,7 +53,6 @@ class ScenarioConfig:
     w_max: int = 63
     r_min: float = 0.1
     r_cap: float = 200.0
-    legacy_ewma: bool = True
     aimd_alpha: float = 0.25         # pps/second additive increase (aimd_e2e)
     # [energy]
     energy_initial: float = 0.1      # joules
@@ -73,8 +72,7 @@ _SECTIONS = {
                  "disconnected"],
     "mac": ["bit_rate", "packet_size", "control_size", "slot_us", "sifs_us", "difs_us",
             "retry_limit", "frame_error_rate", "bit_error_rate", "access_jitter_us"],
-    "control": ["p", "b_max", "w_min", "w_max", "r_min", "r_cap", "legacy_ewma",
-                "aimd_alpha"],
+    "control": ["p", "b_max", "w_min", "w_max", "r_min", "r_cap", "aimd_alpha"],
     "energy": ["energy_initial", "energy_per_packet", "energy_control"],
     "metrics": ["window"],
     "trace": ["trace_mac", "trace_hccc", "trace_packets"],
@@ -82,6 +80,12 @@ _SECTIONS = {
 
 _KEY_SECTION = {k: s for s, keys in _SECTIONS.items() for k in keys}
 _FIELD_TYPE = {f.name: f.type for f in fields(ScenarioConfig)}
+
+# The lowest packet rate (pps) a source or pacer may run at.  A source's first
+# packet is drawn uniformly within its first interval, which may last 1e6 /
+# rate us times -ln(1 - u) for the largest u below 1, about 36.7; at this rate
+# that is 3.7e18 us, inside the 2**64 values a uniform draw can take.
+MIN_RATE = 1e-11
 
 
 def _parse_value(key, raw, lineno):
@@ -118,11 +122,13 @@ def validate(cfg):
     check(cfg.radius > 0, "radius", "must be positive")
     check(1 <= cfg.source_count <= cfg.node_count - 1, "source_count",
           "must be in [1, node_count-1]")
-    check(cfg.offered_load >= 0, "offered_load", "must be non-negative")
+    check(cfg.offered_load == 0 or cfg.offered_load >= MIN_RATE, "offered_load",
+          "must be 0 or >= %g" % MIN_RATE)
     check(cfg.buffer_capacity >= 1, "buffer_capacity", "must be >= 1")
     check(cfg.duration >= 0, "duration", "must be non-negative")
     check(cfg.warmup >= 0, "warmup", "must be non-negative")
-    check(cfg.seed >= 0, "seed", "must be non-negative")
+    # The random streams use the seed modulo 2**64.
+    check(0 <= cfg.seed < 2 ** 64, "seed", "must be in [0, 2**64)")
     check(cfg.scheme in SCHEMES, "scheme", "must be one of %s" % (SCHEMES,))
     check(cfg.traffic in ("cbr", "poisson"), "traffic", "must be cbr or poisson")
     check(cfg.disconnected in ("exclude", "fail"), "disconnected",
@@ -144,7 +150,7 @@ def validate(cfg):
     check(0 < cfg.b_max < 1, "b_max", "must be in (0, 1)")
     check(cfg.w_min >= 1, "w_min", "must be >= 1")
     check(cfg.w_max >= cfg.w_min, "w_max", "must be >= w_min")
-    check(cfg.r_min > 0, "r_min", "must be positive")
+    check(cfg.r_min >= MIN_RATE, "r_min", "must be >= %g" % MIN_RATE)
     check(cfg.r_cap >= cfg.r_min, "r_cap", "must be >= r_min")
     check(cfg.aimd_alpha > 0, "aimd_alpha", "must be positive")
     check(cfg.energy_initial > 0, "energy_initial", "must be positive")

@@ -12,15 +12,13 @@ tested against table-driven fixtures.  ``on_packet_arrival``,
 ``on_packet_departure``, ``apply_detect``, ``apply_feedback`` and
 ``generate_feedback`` update the ``CongestionState`` they are given, one
 function per event of the node.  Every function reads its parameters
-(p, b_max, w_min, w_max, r_min, r_cap, legacy_ewma) from the same-named
-fields of a ``ScenarioConfig``.
+(p, b_max, w_min, w_max, r_min, r_cap) from the same-named fields of a
+``ScenarioConfig``.
 
-The averaging formulas are implemented in two modes.  ``legacy_ewma=True``
-(default) keeps them exactly as the scheme defines them: the inter-arrival
-average T_a mixes the current service average T_s with the latest arrival gap,
-and the service average T_s mixes the latest inter-departure gap with the frame
-airtime.  ``legacy_ewma=False`` switches both to conventional self-referential
-exponential averages.
+The averaging formulas are kept exactly as the scheme defines them: the
+inter-arrival average T_a mixes the current service average T_s with the
+latest arrival gap, and the service average T_s mixes the latest
+inter-departure gap with the frame airtime.
 """
 
 import math
@@ -40,22 +38,23 @@ NO_CHANGE = "no_change"
 class CongestionState:
     """Congestion variables of one node.
 
-    T_a and T_s are seeded with the nominal service time of a single data
-    frame so the congestion degree is well defined before traffic has been
-    observed; the first classification is deferred until both averages have
-    been updated at least once.  ``relay`` holds a downstream occupancy ratio
-    waiting to be relayed on the node's next RTS; ``sent_own`` is True from
-    the node's own congested signal (b_r > b_max) until its next relay.
+    T_s is seeded with the nominal service time of a single data frame, which
+    T_a mixes in until the first departure gap replaces it.  T_a is None until
+    the second arrival; the first classification is deferred until both
+    averages have been updated at least once.  ``relay`` holds a downstream
+    occupancy ratio waiting to be relayed on the node's next RTS; ``sent_own``
+    is True from the node's own congested signal (b_r > b_max) until its next
+    relay.
     """
 
     __slots__ = (
         "T_a", "T_s", "last_arrival", "last_departure", "C_d",
         "buffer", "capacity", "R", "R_max", "sent_own", "relay",
-        "arrivals_updated", "departures_updated",
+        "departures_updated",
     )
 
     def __init__(self, capacity, nominal_service_us, r_init):
-        self.T_a = float(nominal_service_us)
+        self.T_a = None
         self.T_s = float(nominal_service_us)
         self.last_arrival = None
         self.last_departure = None
@@ -66,7 +65,6 @@ class CongestionState:
         self.R_max = r_init
         self.sent_own = False
         self.relay = None
-        self.arrivals_updated = False
         self.departures_updated = False
 
     @property
@@ -86,11 +84,8 @@ def on_packet_arrival(state, t, cfg):
     else:
         if t < state.last_arrival:
             raise CongestionLogicError("arrival time moved backwards")
-        gap = t - state.last_arrival
-        base = state.T_s if cfg.legacy_ewma else state.T_a
-        state.T_a = (1.0 - cfg.p) * base + cfg.p * gap
+        state.T_a = (1.0 - cfg.p) * state.T_s + cfg.p * (t - state.last_arrival)
         state.last_arrival = t
-        state.arrivals_updated = True
 
 
 def on_packet_departure(state, t, t_s, cfg):
@@ -104,9 +99,7 @@ def on_packet_departure(state, t, t_s, cfg):
     else:
         if t < state.last_departure:
             raise CongestionLogicError("departure time moved backwards")
-        gap = t - state.last_departure
-        base = gap if cfg.legacy_ewma else state.T_s
-        state.T_s = (1.0 - cfg.p) * base + cfg.p * t_s
+        state.T_s = (1.0 - cfg.p) * (t - state.last_departure) + cfg.p * t_s
         state.last_departure = t
         state.departures_updated = True
 
@@ -121,7 +114,7 @@ def apply_detect(state, cfg):
     threshold) yields NO_CHANGE.  Only DAMP_LOCAL_RATE changes the state; the
     other outcomes are returned for the trace.
     """
-    if not (state.arrivals_updated and state.departures_updated):
+    if state.T_a is None or not state.departures_updated:
         return NO_CHANGE
     c_d = state.C_d = state.T_s / state.T_a
     if c_d > 1.0:

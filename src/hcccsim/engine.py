@@ -83,7 +83,9 @@ class RandomStream:
 
     def random(self):
         """Uniform float in [0, 1)."""
-        return self.next_u64() / 18446744073709551616.0
+        u = self.next_u64() / 18446744073709551616.0
+        # The top 1024 values of next_u64 round to 1.0: take the float below.
+        return u if u < 1.0 else 1.0 - 2.0 ** -53
 
 
 class Engine:

@@ -82,31 +82,20 @@ def test_acceptance_1_adjustment_oracle():
 # ---- 2. averaging fixtures ----------------------------------------------
 
 def test_acceptance_2_averaging_fixtures():
-    for params in (ScenarioConfig(legacy_ewma=True),
-                   ScenarioConfig(legacy_ewma=False)):
-        st = CongestionState(500, 2600, 100.0)
-        st.T_s = 10_000.0
-        st.T_a = 10_000.0
-        congestion.on_packet_arrival(st, 0, params)
-        congestion.on_packet_arrival(st, 20_000, params)
-        assert st.T_a == 13_000.0, params
+    params = ScenarioConfig()
+    st = CongestionState(500, 2600, 100.0)
+    st.T_s = 10_000.0
+    congestion.on_packet_arrival(st, 0, params)
+    congestion.on_packet_arrival(st, 20_000, params)
+    assert st.T_a == 13_000.0
 
     st = CongestionState(500, 2600, 100.0)
     for _ in range(3):
         st.buffer.append(object())
-    congestion.on_packet_departure(st, 0, 1600, ScenarioConfig(legacy_ewma=True))
-    congestion.on_packet_departure(st, 15_000, 1600, ScenarioConfig(legacy_ewma=True))
+    congestion.on_packet_departure(st, 0, 1600, params)
+    congestion.on_packet_departure(st, 15_000, 1600, params)
     assert st.T_s == 10_980.0
-
-    st = CongestionState(500, 2600, 100.0)
-    st.T_s = 15_000.0
-    for _ in range(3):
-        st.buffer.append(object())
-    congestion.on_packet_departure(st, 0, 1600, ScenarioConfig(legacy_ewma=False))
-    congestion.on_packet_departure(st, 9_999, 1600, ScenarioConfig(legacy_ewma=False))
-    assert st.T_s == 10_980.0
-    print("acceptance 2: averaging fixtures 13000us / 10980us exact in "
-          "both modes PASS")
+    print("acceptance 2: averaging fixtures 13000us / 10980us exact PASS")
 
 
 # ---- 3 & 4. contention-window monotonicity on a saturated 2-sender fixture

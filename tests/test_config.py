@@ -1,13 +1,16 @@
 """Config parsing/validation round-trips and the command-line front end."""
 
+import math
 import os
 from dataclasses import asdict, replace
 
 import pytest
 
 from hcccsim import cli, metrics
-from hcccsim.config import (ConfigError, ScenarioConfig, dump_config,
+from hcccsim.config import (MIN_RATE, ConfigError, ScenarioConfig, dump_config,
                             parse_config, parse_config_text, validate)
+from hcccsim.engine import RandomStream
+from hcccsim.simulation import Simulation
 
 
 def test_empty_file_yields_defaults():
@@ -30,12 +33,11 @@ def test_defaults_match_reference_scenario():
     assert cfg.energy_initial == 0.1
     assert cfg.energy_per_packet == 1e-4
     assert cfg.scheme == "hccc"
-    assert cfg.legacy_ewma is True
 
 
 def test_round_trip():
     cfg = validate(ScenarioConfig(node_count=37, offered_load=7.5, seed=99,
-                                  scheme="aimd_e2e", legacy_ewma=False))
+                                  scheme="aimd_e2e", trace_hccc=True))
     again = parse_config_text(dump_config(cfg))
     assert asdict(again) == asdict(cfg)
 
@@ -47,7 +49,8 @@ def test_occupancy_threshold_range_error_names_field():
 
 
 def test_unknown_key_is_an_error_with_line_number():
-    for key, value in (("bogus_key", "1"), ("printed_fairness", "true")):
+    for key, value in (("bogus_key", "1"), ("printed_fairness", "true"),
+                       ("legacy_ewma", "true")):
         with pytest.raises(ConfigError) as err:
             parse_config_text("node_count = 10\n%s = %s\n" % (key, value))
         assert "line 2" in str(err.value)
@@ -69,7 +72,7 @@ def test_bad_value_diagnostics():
     with pytest.raises(ConfigError):
         parse_config_text("node_count = ten\n")
     with pytest.raises(ConfigError):
-        parse_config_text("[control]\nlegacy_ewma = maybe\n")
+        parse_config_text("[trace]\ntrace_hccc = maybe\n")
     with pytest.raises(ConfigError):
         parse_config_text("node_count\n")
 
@@ -98,11 +101,31 @@ def test_validate_range_errors_name_fields():
         (dict(energy_initial=float("inf")), "energy_initial"),
         (dict(area_side=float("inf")), "area_side"),
         (dict(offered_load=float("inf")), "offered_load"),
+        (dict(offered_load=math.nextafter(MIN_RATE, 0.0)), "offered_load"),
+        (dict(offered_load=-1.0), "offered_load"),
+        (dict(scheme="none", offered_load=1e-310), "offered_load"),
+        (dict(offered_load=1e-310, r_min=1e-310), "offered_load"),
+        (dict(r_min=math.nextafter(MIN_RATE, 0.0)), "r_min"),
+        (dict(r_min=1e-310), "r_min"),
+        (dict(seed=2 ** 64), "seed"),
     ]
     for overrides, name in bad:
         with pytest.raises(ConfigError) as err:
             validate(ScenarioConfig(**overrides))
         assert name in str(err.value), overrides
+
+
+@pytest.mark.parametrize("scheme", ["none", "hccc", "aimd_e2e"])
+def test_run_at_the_rate_bound_with_the_longest_poisson_gap(scheme, monkeypatch):
+    # Every source draws the largest -ln(1 - u) for its first interval, whose
+    # start is then drawn uniformly within it.
+    cfg = validate(ScenarioConfig(node_count=10, source_count=3, duration=2.0,
+                                  warmup=0.0, scheme=scheme, traffic="poisson",
+                                  offered_load=MIN_RATE, r_min=MIN_RATE))
+    sim = Simulation(cfg)
+    monkeypatch.setattr(RandomStream, "random",
+                        lambda self: math.nextafter(1.0, 0.0))
+    assert sim.run().generated == 0
 
 
 # ---- CLI ----------------------------------------------------------------
@@ -125,6 +148,19 @@ def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
     path.write_text("[control]\nb_max = 1.5\n")
     assert cli.main(["validate", "--config", str(path)]) == 2
     assert "b_max" in capsys.readouterr().err
+
+
+def test_cli_seed_past_64_bits_exit_2(tmp_path, capsys):
+    # The random streams use the seed modulo 2**64, so seed 2**64 + 1 would
+    # give the results of seed 1 under another file name.
+    assert validate(ScenarioConfig(seed=2 ** 64 - 1)).seed == 2 ** 64 - 1
+    path = tmp_path / "scenario.conf"
+    path.write_text("[scenario]\nnode_count = 10\nsource_count = 2\nduration = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out),
+                     "--seed", str(2 ** 64 + 1)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_run_writes_reports(tmp_path, capsys):

@@ -15,7 +15,6 @@ from hcccsim.traffic import BUFFER_OVERFLOW, DELIVERED, OUTCOME_CODE
 from conftest import inject_packet, make_topology, small_cfg, two_node_topology
 
 P = ScenarioConfig()
-P_CONV = ScenarioConfig(legacy_ewma=False)
 
 
 def fresh_state(capacity=500, nominal=2600, r=100.0):
@@ -38,14 +37,6 @@ def test_arrival_average_legacy_fixture():
     assert st.T_a == 13_000.0
 
 
-def test_arrival_average_conventional_fixture():
-    st = fresh_state()
-    st.T_a = 10_000.0
-    congestion.on_packet_arrival(st, 0, P_CONV)
-    congestion.on_packet_arrival(st, 20_000, P_CONV)
-    assert st.T_a == 13_000.0
-
-
 def test_departure_average_legacy_fixture():
     # consecutive departures 15 ms apart, airtime 1.6 ms
     st = fresh_state()
@@ -55,22 +46,11 @@ def test_departure_average_legacy_fixture():
     assert st.T_s == 10_980.0
 
 
-def test_departure_average_conventional_fixture():
-    st = fresh_state()
-    st.T_s = 15_000.0
-    fill(st, 3)
-    congestion.on_packet_departure(st, 0, 1600, P_CONV)
-    congestion.on_packet_departure(st, 40_000, 1600, P_CONV)
-    assert st.T_s == 10_980.0
-
-
 def test_first_arrival_initializes_without_ewma_step():
     st = fresh_state()
-    before = st.T_a
     congestion.on_packet_arrival(st, 12_345, P)
-    assert st.T_a == before
+    assert st.T_a is None
     assert st.last_arrival == 12_345
-    assert not st.arrivals_updated
 
 
 def test_full_buffer_drop_still_updates_average():
@@ -86,7 +66,7 @@ def test_full_buffer_drop_still_updates_average():
     st = source.cc
     assert sim.log.outcome[dropped] == OUTCOME_CODE[BUFFER_OVERFLOW]
     assert (source.admitted, st.b_r) == (1, 1.0)
-    assert st.arrivals_updated and st.last_arrival == 1000
+    assert st.last_arrival == 1000
     assert st.T_a == (1.0 - P.p) * st.T_s + P.p * 1000
 
 
@@ -134,8 +114,8 @@ def test_degree_deferred_until_both_updated():
     assert st.C_d == st.T_s / st.T_a
 
 
-# ROADMAP item 11 pins what C_d = T_s / T_a compares in each averaging mode.
-# These tests describe today's behaviour; they do not endorse it.
+# ROADMAP item 11 pins what C_d = T_s / T_a compares.
+# This test describes today's behaviour; it does not endorse it.
 GAPS = (0, 1, 400, 1000, 1599, 1600, 1601, 2600, 4000, 12_345, 100_000)
 
 
@@ -157,34 +137,12 @@ def test_legacy_degree_compares_the_last_arrival_gap_with_T_s():
             assert (st.C_d > 1.0) == (g_a < st.T_s), (g_d, g_a, st.T_s)
 
 
-def test_conventional_service_average_tends_to_the_data_airtime():
-    # legacy_ewma = false averages the airtime it is handed, never a gap:
-    # T_s falls from its seed (airtime plus a slot) to the airtime,
-    # the same for every sequence of departure gaps.
-    data_air = MacTiming(P_CONV).data_air
-    stream = RandomStream(11)
-    ends = set()
-    for run in range(5):
-        st = fresh_state(nominal=data_air + MacTiming(P_CONV).slot)
-        fill(st, 100)
-        t, trail = 0, []
-        for _ in range(100):
-            t += 0 if run == 0 else stream.uniform_int(0, 10 ** run)
-            congestion.on_packet_departure(st, t, data_air, P_CONV)
-            trail.append(st.T_s)
-        assert trail == sorted(trail, reverse=True)
-        ends.add(st.T_s)
-    assert len(ends) == 1
-    assert abs(ends.pop() - data_air) < 1e-9
-
-
 # ---- detection ----------------------------------------------------------
 
 def ready_state(t_s, t_a, occupancy, capacity=10):
     st = fresh_state(capacity=capacity)
     st.T_s = t_s
     st.T_a = t_a
-    st.arrivals_updated = True
     st.departures_updated = True
     fill(st, occupancy)
     return st

@@ -169,6 +169,17 @@ def test_random_unit_interval():
     assert 0.4 < sum(vals) / len(vals) < 0.6
 
 
+def test_random_stays_below_one_at_the_top_draws(monkeypatch):
+    # The top 1024 values of next_u64 divide to exactly 1.0; they give the
+    # largest float below 1 instead, and every lower value keeps its float.
+    s = RandomStream(5)
+    monkeypatch.setattr(RandomStream, "next_u64", lambda self: 2 ** 64 - 1)
+    assert s.random() == math.nextafter(1.0, 0.0)
+    assert math.isfinite(-math.log(1.0 - s.random()))
+    monkeypatch.setattr(RandomStream, "next_u64", lambda self: 2 ** 64 - 1025)
+    assert s.random() == (2 ** 64 - 1025) / 18446744073709551616.0
+
+
 def test_keyed_random_is_a_pure_function_of_its_key():
     assert keyed_random(3, 5, 7) == keyed_random(3, 5, 7)
     assert 0.0 <= keyed_random(3, 5, 7) < 1.0

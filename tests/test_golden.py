@@ -32,7 +32,7 @@ EVENTS = os.path.join(GOLDEN, "events.json")
 # Together the scenarios reach every scheme, Poisson traffic, frame and bit
 # errors (keyed draws at the destination and at the children decoding an
 # RTS's feedback), energy deaths (no_receiver outcomes, control-frame energy)
-# and both averaging variants.
+# and HCCC under node deaths.
 SCENARIOS = {
     "hccc": dict(scheme="hccc", duration=40.0, warmup=10.0),
     "none_saturated": dict(scheme="none", offered_load=15.0, duration=10.0,
@@ -44,9 +44,8 @@ SCENARIOS = {
     "none_energy_death": dict(scheme="none", offered_load=10.0,
                               energy_initial=0.01, energy_control=2e-5,
                               duration=30.0, warmup=5.0),
-    "hccc_ewma_energy_death": dict(scheme="hccc", legacy_ewma=False,
-                                   offered_load=10.0, energy_initial=0.01,
-                                   duration=30.0, warmup=5.0),
+    "hccc_energy_death": dict(scheme="hccc", offered_load=10.0,
+                              energy_initial=0.01, duration=30.0, warmup=5.0),
 }
 
 
