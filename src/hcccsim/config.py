@@ -87,6 +87,11 @@ _FIELD_TYPE = {f.name: f.type for f in fields(ScenarioConfig)}
 # that is 3.7e18 us, inside the 2**64 values a uniform draw can take.
 MIN_RATE = 1e-11
 
+# The run keeps energy in whole nanojoules and metrics windows in whole
+# microseconds; a positive value below one unit would round to zero.
+MIN_ENERGY = 1e-9
+MIN_WINDOW = 1e-6
+
 
 def _parse_value(key, raw, lineno):
     ftype = _FIELD_TYPE[key]
@@ -153,10 +158,13 @@ def validate(cfg):
     check(cfg.r_min >= MIN_RATE, "r_min", "must be >= %g" % MIN_RATE)
     check(cfg.r_cap >= cfg.r_min, "r_cap", "must be >= r_min")
     check(cfg.aimd_alpha > 0, "aimd_alpha", "must be positive")
-    check(cfg.energy_initial > 0, "energy_initial", "must be positive")
-    check(cfg.energy_per_packet >= 0, "energy_per_packet", "must be >= 0")
-    check(cfg.energy_control >= 0, "energy_control", "must be >= 0")
-    check(cfg.window > 0, "window", "must be positive")
+    check(cfg.energy_initial >= MIN_ENERGY, "energy_initial",
+          "must be >= %g" % MIN_ENERGY)
+    for field in ("energy_per_packet", "energy_control"):
+        cost = getattr(cfg, field)
+        check(cost == 0 or cost >= MIN_ENERGY, field,
+              "must be 0 or >= %g" % MIN_ENERGY)
+    check(cfg.window >= MIN_WINDOW, "window", "must be >= %g" % MIN_WINDOW)
     return cfg
 
 

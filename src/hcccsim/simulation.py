@@ -45,6 +45,14 @@ A node buffer (``Node.cc.buffer``) is a FIFO list that only this module changes:
 ``_dequeue`` the one way out (the head packet, sent or given up on).  Under
 HCCC the congestion layer observes each arrival before the drop-tail test
 and each sent packet just before its dequeue; it never moves a packet.
+
+Energy is kept in integer nanojoules (``Node.energy_nj``), converted from
+the ``[energy]`` keys once, so the energy consumed is exactly each cost times
+its attempts.  ``_start_tx`` charges each frame as it starts and is the one
+place a node dies: a frame that costs energy and leaves its sender below one
+DATA charge is the sender's last, and it still goes out.  So a node that
+starts below one DATA charge lives through free control frames and dies at
+its first DATA frame.  A dead node stops generating, forwarding and responding.
 """
 
 import math
@@ -56,7 +64,7 @@ from .congestion import CongestionState
 from .engine import Engine, RandomStream, keyed_draw, keyed_seed_mix
 from .mac import RTS, CTS, DATA, ACK, Frame, MacTiming, draw_backoff
 from .topology import build_topology
-from .traffic import (AimdSource, EnergyBook, PacketLog, OUTCOME_CODE,
+from .traffic import (AimdSource, PacketLog, OUTCOME_CODE, joules_to_nj,
                       DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED)
 
 # MAC phases
@@ -70,7 +78,7 @@ AWAIT_ACK = 4
 class Node:
     __slots__ = (
         "id", "role", "next_hop",
-        "stream", "energy", "alive", "death_time",
+        "stream", "energy_nj", "alive", "death_time",
         "cc", "w", "aimd",
         "phase", "remaining", "wake_time",     # wake_time 0: no countdown
         "epoch", "retries", "access_pending", "access_started_at",
@@ -83,12 +91,12 @@ class Node:
         "admitted", "removed",
     )
 
-    def __init__(self, spec, stream, energy, cc, w):
+    def __init__(self, spec, stream, energy_nj, cc, w):
         self.id = spec.id
         self.role = spec.role
         self.next_hop = None
         self.stream = stream
-        self.energy = energy
+        self.energy_nj = energy_nj
         self.alive = True
         self.death_time = None
         self.cc = cc
@@ -166,18 +174,21 @@ class Simulation:
         self.topology = topology if topology is not None else build_topology(
             cfg, RandomStream(cfg.seed, 0))
 
+        self.initial_nj = joules_to_nj(cfg.energy_initial)
+        self.data_nj = joules_to_nj(cfg.energy_per_packet)
+        self.ctrl_nj = joules_to_nj(cfg.energy_control)
+
         nominal_service = self.timing.data_air + self.timing.slot
         nodes = []
         for spec in self.topology.nodes:
             stream = RandomStream(cfg.seed, spec.id + 1)
-            energy = EnergyBook(cfg.energy_initial, cfg.energy_per_packet,
-                                cfg.energy_control)
             if spec.role == "source":
                 r_init = min(max(cfg.offered_load, cfg.r_min), cfg.r_cap)
             else:
                 r_init = cfg.r_cap
             cc = CongestionState(cfg.buffer_capacity, nominal_service, r_init)
-            nodes.append(Node(spec, stream, energy, cc, float(cfg.w_max)))
+            nodes.append(Node(spec, stream, self.initial_nj, cc,
+                              float(cfg.w_max)))
         self.neighbors = [[nodes[j] for j in adj]
                           for adj in self.topology.adjacency]
         self.children = [[] for _ in nodes]
@@ -192,8 +203,8 @@ class Simulation:
                         and self.topology.reachable(n.id)]
         if self.is_aimd:
             for src in self.sources:
-                src.aimd = AimdSource(max(cfg.offered_load, cfg.r_min),
-                                      cfg.aimd_alpha, cfg.r_min, cfg.r_cap)
+                src.aimd = AimdSource(src.cc.R, cfg.aimd_alpha, cfg.r_min,
+                                      cfg.r_cap)
         self.sink_expected = {}
 
         self.log = PacketLog()
@@ -237,15 +248,16 @@ class Simulation:
         now = self.engine.now
         end = now + self.timing.airtime(frame.kind)
         if frame.kind == DATA:
-            node.energy.charge_data()
+            cost = self.data_nj
             self.data_attempts += 1
         else:
+            cost = self.ctrl_nj
             self.ctrl_attempts += 1
-            node.energy.charge_control()
-        if (node.alive and node.energy.exhausted
-                and (frame.kind == DATA or node.energy.control_nj)):
-            node.alive = False
-            node.death_time = now
+        if cost:
+            node.energy_nj -= cost
+            if node.alive and node.energy_nj < self.data_nj:
+                node.alive = False
+                node.death_time = now
         node.tx_end = end
         frame.heard = self.nodes[frame.dst].alive
         frame.serial = self.data_attempts + self.ctrl_attempts
@@ -579,8 +591,6 @@ class Simulation:
         # Simulation; dropping them lets reference counting free the run.
         self.engine.clear()
 
-        total_initial = sum(n.energy.initial_nj for n in self.nodes)
-        total_remaining = sum(n.energy.remaining_nj for n in self.nodes)
         count = self.log.outcome.count
         return RunResult(
             config=cfg,
@@ -592,8 +602,8 @@ class Simulation:
             mac_drops=count(OUTCOME_CODE[MAC_RETRY_EXHAUSTED]),
             data_attempts=self.data_attempts,
             ctrl_attempts=self.ctrl_attempts,
-            energy_initial_nj=total_initial,
-            energy_remaining_nj=total_remaining,
+            energy_initial_nj=len(self.nodes) * self.initial_nj,
+            energy_remaining_nj=sum(n.energy_nj for n in self.nodes),
             source_ids=[s.id for s in self.sources],
             rate_samples=self.rate_samples,
             nodes=self.nodes,

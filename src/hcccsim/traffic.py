@@ -1,9 +1,4 @@
-"""Traffic bookkeeping, per-node energy accounting and the end-to-end AIMD baseline.
-
-Energy is stored in integer nanojoules so the conservation identity
-(total consumed == per-packet cost x transmission attempts) holds exactly.
-A node whose remaining energy drops below the per-packet cost is dead: it
-stops generating, forwarding and responding.
+"""Traffic bookkeeping and the end-to-end AIMD baseline.
 
 Every generated packet is one row of a ``PacketLog``: a fixed-width column
 per field, about 30 bytes a packet.  The row number is the packet: buffers
@@ -28,26 +23,6 @@ NO_END = -1
 
 def joules_to_nj(j):
     return int(round(j * 1e9))
-
-
-class EnergyBook:
-    __slots__ = ("initial_nj", "remaining_nj", "per_packet_nj", "control_nj")
-
-    def __init__(self, initial_j, per_packet_j, control_j=0.0):
-        self.initial_nj = joules_to_nj(initial_j)
-        self.remaining_nj = self.initial_nj
-        self.per_packet_nj = joules_to_nj(per_packet_j)
-        self.control_nj = joules_to_nj(control_j)
-
-    def charge_data(self):
-        self.remaining_nj -= self.per_packet_nj
-
-    def charge_control(self):
-        self.remaining_nj -= self.control_nj
-
-    @property
-    def exhausted(self):
-        return self.remaining_nj < self.per_packet_nj
 
 
 PacketRow = namedtuple(

@@ -108,11 +108,25 @@ def test_validate_range_errors_name_fields():
         (dict(r_min=math.nextafter(MIN_RATE, 0.0)), "r_min"),
         (dict(r_min=1e-310), "r_min"),
         (dict(seed=2 ** 64), "seed"),
+        (dict(window=4e-7), "window"),
+        (dict(energy_per_packet=1e-10), "energy_per_packet"),
     ]
     for overrides, name in bad:
         with pytest.raises(ConfigError) as err:
             validate(ScenarioConfig(**overrides))
         assert name in str(err.value), overrides
+
+
+@pytest.mark.parametrize("field, bound", [
+    ("window", 1e-6), ("energy_initial", 1e-9), ("energy_per_packet", 1e-9),
+    ("energy_control", 1e-9)])
+def test_values_below_one_unit_are_rejected(field, bound):
+    # A run keeps metrics windows in whole microseconds and energy in whole
+    # nanojoules: a positive value below one unit would round to zero.
+    assert getattr(validate(ScenarioConfig(**{field: bound})), field) == bound
+    with pytest.raises(ConfigError) as err:
+        validate(ScenarioConfig(**{field: math.nextafter(bound, 0.0)}))
+    assert field in str(err.value)
 
 
 @pytest.mark.parametrize("scheme", ["none", "hccc", "aimd_e2e"])

@@ -250,6 +250,17 @@ def test_aimd_sources_react_to_losses():
                if n.aimd is not None)
 
 
+def test_aimd_first_rate_is_capped_like_hccc():
+    # A source offered more than r_cap starts at r_cap under either scheme.
+    cfg = validate(ScenarioConfig(node_count=10, source_count=2, duration=3.0,
+                                  warmup=0.0, scheme="aimd_e2e",
+                                  offered_load=300.0))
+    result = run_scenario(cfg)
+    assert result.rate_samples[0][1] == (cfg.r_cap,) * len(result.source_ids)
+    assert all(r <= cfg.r_cap for _, rates in result.rate_samples
+               for r in rates)
+
+
 def test_poisson_traffic_runs_deterministically():
     cfg = mid_cfg(traffic="poisson", duration=10.0)
     a = run_scenario(cfg)

@@ -1,7 +1,13 @@
-"""Energy accounting, packet records and the AIMD baseline controller."""
+"""Packet records, the AIMD baseline controller and when a sending node dies."""
 
-from hcccsim.traffic import (AimdSource, EnergyBook, PacketLog,
-                             joules_to_nj, DELIVERED, IN_FLIGHT)
+import pytest
+
+from hcccsim.mac import RTS, CTS, DATA, ACK, Frame
+from hcccsim.simulation import Simulation
+from hcccsim.traffic import (AimdSource, PacketLog, joules_to_nj, DELIVERED,
+                             IN_FLIGHT)
+
+from conftest import small_cfg, two_node_topology
 
 
 def test_joules_to_nanojoules_exact():
@@ -9,35 +15,42 @@ def test_joules_to_nanojoules_exact():
     assert joules_to_nj(1e-4) == 100_000
 
 
-def test_single_data_charge():
-    book = EnergyBook(0.1, 1e-4)
-    book.charge_data()
-    assert book.remaining_nj == 99_900_000          # 0.0999 J exactly
-    assert book.initial_nj - book.remaining_nj == 100_000
-    assert not book.exhausted
+# Node 1 sends these frames to node 0, one every GAP us.  Each case: the
+# [energy] keys, the frames, the index of the frame at whose start node 1
+# dies, and the nJ it has left after the last one.
+GAP = 5000
+DEATH_CASES = {
+    "thousandth_data": (dict(energy_initial=0.1, energy_per_packet=1e-4),
+                        [DATA] * 1000, 999, 0),
+    "free_control_then_data": (dict(energy_initial=5e-5,
+                                    energy_per_packet=1e-4),
+                               [RTS, CTS, ACK] * 100 + [DATA], 300, -50_000),
+    "chargeable_cts": (dict(energy_initial=5e-5, energy_per_packet=1e-4,
+                            energy_control=1e-5),
+                       [CTS], 0, 40_000),
+    "second_data": (dict(energy_initial=2.5e-4, energy_per_packet=1e-4),
+                    [DATA, DATA], 1, 50_000),
+}
 
 
-def test_thousand_sends_exhaust_the_budget():
-    book = EnergyBook(0.1, 1e-4)
-    for _ in range(999):
-        book.charge_data()
-        assert not book.exhausted
-    book.charge_data()
-    assert book.remaining_nj == 0
-    assert book.exhausted
-
-
-def test_control_frames_free_by_default():
-    book = EnergyBook(0.1, 1e-4)
-    for _ in range(100):
-        book.charge_control()
-    assert book.remaining_nj == book.initial_nj
-
-
-def test_control_frames_chargeable():
-    book = EnergyBook(0.1, 1e-4, control_j=1e-5)
-    book.charge_control()
-    assert book.initial_nj - book.remaining_nj == 10_000
+@pytest.mark.parametrize("case", DEATH_CASES)
+def test_sender_dies_as_its_last_chargeable_frame_starts(case):
+    energy, kinds, last, left = DEATH_CASES[case]
+    cfg = small_cfg(node_count=2, source_count=1,
+                    duration=(len(kinds) + 1) * GAP / 1e6, **energy)
+    sim = Simulation(cfg, topology=two_node_topology())
+    sender = sim.nodes[1]
+    pkt = sim._new_packet(sender)
+    for i, kind in enumerate(kinds):
+        sim.engine.schedule((i + 1) * GAP, sim._start_tx, sender,
+                            Frame(kind, 1, 0, None, pkt))
+    result = sim.run()
+    # A node dies once, so the time also says it lived through every
+    # frame before.
+    assert sender.death_time == (last + 1) * GAP
+    # Node 0 sends only free frames or none, so its budget is untouched.
+    assert result.nodes[0].alive
+    assert result.energy_remaining_nj - result.energy_initial_nj // 2 == left
 
 
 def test_packet_record_single_terminal_outcome():
