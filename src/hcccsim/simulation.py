@@ -20,6 +20,24 @@ HCCC feedback, the sender's children.  On a lossy channel each of them takes
 a frame-error draw keyed by (run seed, receiver, attempt number), so no
 node's random stream depends on who a frame is for or what it overhears.
 
+Only the nodes that may read these fields keep them: the listeners.  A live
+node starts listening, for good, when it first enters backoff, when a frame
+to it starts, or when its parent starts an HCCC RTS carrying feedback.
+``_listen`` then fills in its fields from its neighbours' frames on the air
+(``[tx_start, tx_end)``, one per node): ``busy_until`` is their latest end
+and ``busy_since`` their earliest start (0 and None when none is on the
+air), and no reception is clean.  Those values answer every later test as
+the full history would: ``busy_until > now`` holds exactly while a frame is
+on the air, ``busy_since < now`` exactly when one of those started earlier,
+and a value of ``busy_until`` at or before now is never used.
+``rx_frame`` and ``rx_prev`` are read only for a frame to the node or its
+parent's feedback, and such a frame starts after the node listens.  The
+fields of other nodes are never read: carrier sense and freezes act only on
+nodes in backoff.  ``_listen`` adds the node, in id order, to
+``listeners[j]`` of each neighbour j, and a frame from j updates only
+``listeners[j]``; a node that dies leaves those lists.  Kept in id order,
+the lists freeze countdowns in the order a walk over all neighbours would.
+
 Channel access works without per-slot polling.  A countdown is
 (``remaining``, ``wake_time``): ``remaining`` slots are counted down in one
 scheduled wake-up at ``wake_time``, which is 0 while no countdown runs.  A
@@ -35,10 +53,11 @@ A packet is its row number in the run's ``PacketLog``: node buffers,
 columns (origin, seq, hop count) are all the state a packet has.
 
 The links between nodes live on the Simulation, indexed by node id:
-``neighbors[i]`` (in ascending id order) and ``children[i]`` (the nodes
-routing through i).  A node keeps only ``next_hop``, and the routes form a
-tree toward the sink, so no reference cycle joins the nodes: dropping a run's
-Simulation and RunResult frees it by reference counting alone.
+``listeners[i]`` (above) and ``children[i]`` (the nodes routing through i);
+the topology's ``adjacency[i]`` lists all of i's neighbours.  A node keeps
+only ``next_hop``, and the routes form a tree toward the sink, so no
+reference cycle joins the nodes: dropping a run's Simulation and RunResult
+frees it by reference counting alone.
 
 A node buffer (``Node.cc.buffer``) is a FIFO list that only this module changes:
 ``_admit`` is the one way in (a drop-tail test against the capacity) and
@@ -55,8 +74,10 @@ starts below one DATA charge lives through free control frames and dies at
 its first DATA frame.  A dead node stops generating, forwarding and responding.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import congestion
 from .config import ScenarioConfig
@@ -66,6 +87,14 @@ from .mac import RTS, CTS, DATA, ACK, Frame, MacTiming, draw_backoff
 from .topology import build_topology
 from .traffic import (AimdSource, PacketLog, OUTCOME_CODE, joules_to_nj,
                       DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED)
+
+_node_id = attrgetter("id")
+
+
+def _clean(node, frame):
+    """node heard frame with no overlap, whether or not it has ended."""
+    return node.rx_frame is frame or node.rx_prev is frame
+
 
 # MAC phases
 IDLE = 0
@@ -83,7 +112,8 @@ class Node:
         "phase", "remaining", "wake_time",     # wake_time 0: no countdown
         "epoch", "retries", "access_pending", "access_started_at",
         "next_access_time",
-        "tx_end", "busy_until", "busy_since", "rx_frame", "rx_prev",
+        "tx_start", "tx_end", "listening",
+        "busy_until", "busy_since", "rx_frame", "rx_prev",
         "responding_until",
         "pending_feedback", "last_accepted", "gen_seq",
         "access_delay_sum",
@@ -110,7 +140,9 @@ class Node:
         self.access_pending = False
         self.access_started_at = 0
         self.next_access_time = 0
+        self.tx_start = 0
         self.tx_end = 0
+        self.listening = False
         self.busy_until = 0
         self.busy_since = 0
         self.rx_frame = None
@@ -178,7 +210,11 @@ class Simulation:
         self.data_nj = joules_to_nj(cfg.energy_per_packet)
         self.ctrl_nj = joules_to_nj(cfg.energy_control)
 
-        nominal_service = self.timing.data_air + self.timing.slot
+        t = self.timing
+        self.slot, self.difs, self.jitter_max = t.slot, t.difs, t.jitter_max
+        self.data_air, self.ctrl_air = t.data_air, t.ctrl_air
+
+        nominal_service = self.data_air + self.slot
         nodes = []
         for spec in self.topology.nodes:
             stream = RandomStream(cfg.seed, spec.id + 1)
@@ -189,8 +225,7 @@ class Simulation:
             cc = CongestionState(cfg.buffer_capacity, nominal_service, r_init)
             nodes.append(Node(spec, stream, self.initial_nj, cc,
                               float(cfg.w_max)))
-        self.neighbors = [[nodes[j] for j in adj]
-                          for adj in self.topology.adjacency]
+        self.listeners = [[] for _ in nodes]
         self.children = [[] for _ in nodes]
         for node in nodes:
             nh = self.topology.next_hop[node.id]
@@ -244,13 +279,30 @@ class Simulation:
         return node.tx_end > now or (node.busy_until > now
                                      and node.busy_since < now)
 
+    def _listen(self, node, now):
+        """Make node a listener from now on (see the module docstring)."""
+        nodes = self.nodes
+        until, since = 0, None
+        for j in self.topology.adjacency[node.id]:
+            m = nodes[j]
+            if m.tx_end > now:
+                if m.tx_end > until:
+                    until = m.tx_end
+                if since is None or m.tx_start < since:
+                    since = m.tx_start
+            bisect.insort(self.listeners[j], node, key=_node_id)
+        node.busy_until, node.busy_since = until, since
+        node.rx_frame = node.rx_prev = None
+        node.listening = True
+
     def _start_tx(self, node, frame):
         now = self.engine.now
-        end = now + self.timing.airtime(frame.kind)
         if frame.kind == DATA:
+            end = now + self.data_air
             cost = self.data_nj
             self.data_attempts += 1
         else:
+            end = now + self.ctrl_air
             cost = self.ctrl_nj
             self.ctrl_attempts += 1
         if cost:
@@ -258,14 +310,24 @@ class Simulation:
             if node.alive and node.energy_nj < self.data_nj:
                 node.alive = False
                 node.death_time = now
+                if node.listening:
+                    for j in self.topology.adjacency[node.id]:
+                        self.listeners[j].remove(node)
+        # The receivers listen before this frame is on the air.
+        dst = self.nodes[frame.dst]
+        if dst.alive and not dst.listening:
+            self._listen(dst, now)
+        if frame.feedback is not None:
+            for n in self.children[node.id]:
+                if n.alive and not n.listening:
+                    self._listen(n, now)
+        node.tx_start = now
         node.tx_end = end
-        frame.heard = self.nodes[frame.dst].alive
+        frame.heard = dst.alive
         frame.serial = self.data_attempts + self.ctrl_attempts
         if node.wake_time > now:
             self._freeze(node, now)
-        for n in self.neighbors[node.id]:
-            if not n.alive:
-                continue
+        for n in self.listeners[node.id]:
             if n.busy_until > now:
                 # Overlaps a reception in progress: both are lost.
                 n.rx_frame = None
@@ -303,7 +365,7 @@ class Simulation:
                 outcome = "no_receiver"
             elif not dst.alive:
                 outcome = "dead_receiver"
-            elif dst.rx_frame is frame or dst.rx_prev is frame:
+            elif _clean(dst, frame):
                 outcome = "corrupted"
             else:
                 outcome = "collided"
@@ -312,22 +374,22 @@ class Simulation:
 
     def _decoded(self, n, frame, fer):
         """n is alive, heard the frame clean and its keyed error draw spares it."""
-        return (n.alive and (n.rx_frame is frame or n.rx_prev is frame)
+        return (n.alive and _clean(n, frame)
                 and not (fer and keyed_draw(self.seed_mix, n.id, frame.serial) < fer))
 
     # ---- backoff --------------------------------------------------------
 
     def _defer(self, node, base):
         """Wake one DIFS plus the access jitter after base."""
-        jmax = self.timing.jitter_max
+        jmax = self.jitter_max
         if jmax > 0:
             base += node.stream.uniform_int(0, jmax - 1)
         node.epoch += 1
-        self.engine.schedule(base + self.timing.difs, self._backoff_wake, node, node.epoch)
+        self.engine.schedule(base + self.difs, self._backoff_wake, node, node.epoch)
 
     def _freeze(self, node, now):
         # Keep the slot in progress: count only whole slots as done.
-        node.remaining = -((now - node.wake_time) // self.timing.slot)
+        node.remaining = -((now - node.wake_time) // self.slot)
         node.wake_time = 0
         busy_until, tx_end = node.busy_until, node.tx_end
         self._defer(node, busy_until if busy_until > tx_end else tx_end)
@@ -339,21 +401,25 @@ class Simulation:
         if node.wake_time:
             # The countdown ran out.
             node.wake_time = node.remaining = 0
+        busy_until = node.busy_until
         if self._sensed_busy(node, now):
-            busy_until, tx_end = node.busy_until, node.tx_end
-            self._defer(node, busy_until if busy_until > tx_end else tx_end)
+            tx_end = node.tx_end
+            base = busy_until if busy_until > tx_end else tx_end
         elif now < node.responding_until:
-            self._defer(node, node.responding_until)
+            base = node.responding_until
         elif node.remaining <= 0:
             self._tx_rts(node)
-        elif node.busy_until > now:
+            return
+        elif busy_until > now:
             # A frame starting at this exact instant is not sensed, but it
             # occupies the medium for the rest of the countdown.
-            self._defer(node, node.busy_until)
+            base = busy_until
         else:
-            node.wake_time = at = now + node.remaining * self.timing.slot
+            node.wake_time = at = now + node.remaining * self.slot
             node.epoch += 1
             self.engine.schedule(at, self._backoff_wake, node, node.epoch)
+            return
+        self._defer(node, base)
 
     # ---- channel access / exchange --------------------------------------
 
@@ -391,6 +457,8 @@ class Simulation:
         self._begin_backoff(node)
 
     def _begin_backoff(self, node):
+        if not node.listening:
+            self._listen(node, self.engine.now)
         node.phase = BACKOFF
         node.remaining = draw_backoff(node.w, node.stream)
         self._defer(node, self.engine.now)

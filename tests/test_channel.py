@@ -5,11 +5,12 @@ from collections import Counter
 import pytest
 
 from hcccsim.engine import RandomStream
-from hcccsim.mac import CTS, ACK, Frame
+from hcccsim.mac import RTS, CTS, ACK, Frame
 from hcccsim.simulation import Simulation
 
-from conftest import (hidden_terminal_topology, make_topology, small_cfg,
-                      two_node_topology)
+from conftest import (hidden_terminal_topology, inject_packet, make_topology,
+                      small_cfg, two_node_topology)
+from test_channel_audit import audit
 
 
 def star_topology():
@@ -57,6 +58,46 @@ def test_third_start_at_the_boundary_collides_only_with_the_second():
 def test_one_microsecond_overlap_collides():
     sim = run_star([(159, 2), (0, 1)])
     assert outcomes(sim) == [(160, 1, "collided"), (319, 2, "collided")]
+
+
+def test_destination_that_starts_listening_on_the_air_sees_the_overlap():
+    # Node 2 keeps no channel state while node 1's frame to the sink goes
+    # out over [0, 160).  Node 3's frame to node 2 starts at t=80, so node 2
+    # starts listening under node 1's frame and must lose node 3's.
+    cfg = small_cfg(node_count=4, source_count=3, trace_mac=True)
+    sim = Simulation(cfg, topology=star_topology())
+    send_at(sim, 0, 1, 0)
+    send_at(sim, 80, 3, 2)
+    sim.engine.run_until(79)
+    assert not sim.nodes[2].listening
+    assert sim.nodes[2] not in sim.listeners[1]
+    sim.engine.run_until(10_000)
+    assert sim.nodes[2] in sim.listeners[1]
+    assert outcomes(sim) == [(160, 1, "collided"), (240, 3, "collided")]
+    assert audit(sim) == []
+
+
+def test_node_entering_backoff_on_the_air_defers_past_the_frame():
+    # At 100 kbps node 1's control frame to the sink is on the air over
+    # [0, 1600).  Node 2 keeps no channel state until it enters backoff at
+    # t=100; with w = 1 and no jitter it must sense that frame and send its
+    # RTS one DIFS after the frame's end, not one DIFS after t=100.
+    cfg = small_cfg(node_count=4, source_count=3, trace_mac=True,
+                    bit_rate=100_000.0)
+    sim = Simulation(cfg, topology=star_topology())
+    t = sim.timing
+    assert t.ctrl_air == 1600 and 100 + t.difs < 1600
+    node = sim.nodes[2]
+    node.w = 1.0
+    send_at(sim, 0, 1, 0)
+    sim.engine.schedule(100, inject_packet, sim, node)
+    sim.engine.run_until(99)
+    assert not node.listening
+    sim.engine.run_until(5_000)
+    rts_starts = [row[0] for row in sim.mac_trace
+                  if row[1:3] == (2, RTS) and row[4] == "tx_start"]
+    assert rts_starts == [1600 + t.difs]
+    assert audit(sim) == []
 
 
 @pytest.mark.parametrize("kind", [CTS, ACK])

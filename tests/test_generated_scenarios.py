@@ -8,7 +8,9 @@ frames on the air is redrawn from the same stream.  Every case runs with
 the MAC and HCCC traces on and must pass the channel audit, the MAC audit
 and the run invariants of ``conftest.invariant_errors``: the outcome
 partition, the energy identity, buffer conservation at every node, the
-bounds on R and W and the time order of both traces.
+bounds on R and W and the time order of both traces.  The listener lists
+of each run must be in id order, hold only live neighbours and include
+every node that entered backoff or was a live destination.
 """
 
 import functools
@@ -27,12 +29,55 @@ CASES = 40
 MIN_FRAMES = 100
 
 
-class FreezeCountingSimulation(Simulation):
+class CountingSimulation(Simulation):
+    """Counts freezes and the nodes that start listening while a
+    neighbour's frame is on the air; records every node that entered
+    backoff or was the live destination of a frame."""
+
     freezes = 0
+    busy_listens = 0
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.must_listen = set()
 
     def _freeze(self, node, now):
         self.freezes += 1
         super()._freeze(node, now)
+
+    def _listen(self, node, now):
+        super()._listen(node, now)
+        if node.busy_until > now:
+            self.busy_listens += 1
+
+    def _begin_backoff(self, node):
+        self.must_listen.add(node.id)
+        super()._begin_backoff(node)
+
+    def _start_tx(self, node, frame):
+        if self.nodes[frame.dst].alive:
+            self.must_listen.add(frame.dst)
+        super()._start_tx(node, frame)
+
+
+def listener_errors(sim):
+    """Each listener list is in ascending id order, holds only live
+    neighbours, and every node that entered backoff or was a live
+    destination listens."""
+    errors = []
+    for i, listeners in enumerate(sim.listeners):
+        ids = [n.id for n in listeners]
+        if ids != sorted(set(ids)):
+            errors.append("listeners[%d] not ascending: %r" % (i, ids))
+        if not set(ids) <= set(sim.topology.adjacency[i]):
+            errors.append("listeners[%d] holds a non-neighbour: %r" % (i, ids))
+        dead = [n.id for n in listeners if not n.alive]
+        if dead:
+            errors.append("listeners[%d] holds dead nodes %r" % (i, dead))
+    deaf = sorted(i for i in sim.must_listen if not sim.nodes[i].listening)
+    if deaf:
+        errors.append("nodes %r never started listening" % deaf)
+    return errors
 
 
 def draw_config(stream):
@@ -63,7 +108,7 @@ def case(i):
     """(simulation, result) of generated case i."""
     stream = RandomStream(10, i)
     for _ in range(50):
-        sim = FreezeCountingSimulation(draw_config(stream))
+        sim = CountingSimulation(draw_config(stream))
         result = sim.run()
         if result.data_attempts + result.ctrl_attempts >= MIN_FRAMES:
             return sim, result
@@ -77,11 +122,13 @@ def test_generated_scenario_invariants(i):
     assert audit(sim) == []
     assert test_mac_audit.audit(sim) == []
     assert invariant_errors(result) == []
+    assert listener_errors(sim) == []
 
 
 def test_generated_cases_cover_the_hard_paths():
     runs = [case(i) for i in range(CASES)]
     assert any(sim.freezes for sim, _ in runs)
+    assert any(sim.busy_listens for sim, _ in runs)
     assert any(node.death_time is not None
                for _, result in runs for node in result.nodes)
     assert any(sim.cfg.frame_error_rate > 0 for sim, _ in runs)
