@@ -92,6 +92,9 @@ MIN_RATE = 1e-11
 MIN_ENERGY = 1e-9
 MIN_WINDOW = 1e-6
 
+# The metrics series holds one row per window of the run.
+MAX_WINDOWS = 100_000
+
 
 def _parse_value(key, raw, lineno):
     ftype = _FIELD_TYPE[key]
@@ -165,6 +168,10 @@ def validate(cfg):
         check(cost == 0 or cost >= MIN_ENERGY, field,
               "must be 0 or >= %g" % MIN_ENERGY)
     check(cfg.window >= MIN_WINDOW, "window", "must be >= %g" % MIN_WINDOW)
+    # Counted in the whole microseconds the run keeps, as the series is.
+    windows = -(-round(cfg.duration * 1e6) // round(cfg.window * 1e6))
+    check(windows <= MAX_WINDOWS, "window", "must split duration %r s into "
+          "at most %d windows" % (cfg.duration, MAX_WINDOWS))
     return cfg
 
 

@@ -48,6 +48,11 @@ response exchange, or the end of a frame that started at that same instant.
 The DIFS-after-busy rule is also what protects SIFS-separated frames of an
 ongoing exchange from being trampled by waiting contenders.
 
+A node's random stream, ``RandomStream(seed, id + 1)``, is made at its first
+draw: a source's in ``run()``, any other node's when it first enters
+backoff.  Its values depend only on the seed and the id, so when it is made
+changes no draw, and a node that never contends never pays for one.
+
 A packet is its row number in the run's ``PacketLog``: node buffers,
 ``Node.last_accepted`` and ``Frame.data_id`` hold that int, and the log's
 columns (origin, seq, hop count) are all the state a packet has.
@@ -121,11 +126,11 @@ class Node:
         "admitted", "removed",
     )
 
-    def __init__(self, spec, stream, energy_nj, cc, w):
+    def __init__(self, spec, energy_nj, cc, w):
         self.id = spec.id
         self.role = spec.role
         self.next_hop = None
-        self.stream = stream
+        self.stream = None      # made at the node's first draw
         self.energy_nj = energy_nj
         self.alive = True
         self.death_time = None
@@ -217,14 +222,12 @@ class Simulation:
         nominal_service = self.data_air + self.slot
         nodes = []
         for spec in self.topology.nodes:
-            stream = RandomStream(cfg.seed, spec.id + 1)
             if spec.role == "source":
                 r_init = min(max(cfg.offered_load, cfg.r_min), cfg.r_cap)
             else:
                 r_init = cfg.r_cap
             cc = CongestionState(cfg.buffer_capacity, nominal_service, r_init)
-            nodes.append(Node(spec, stream, self.initial_nj, cc,
-                              float(cfg.w_max)))
+            nodes.append(Node(spec, self.initial_nj, cc, float(cfg.w_max)))
         self.listeners = [[] for _ in nodes]
         self.children = [[] for _ in nodes]
         for node in nodes:
@@ -459,6 +462,8 @@ class Simulation:
     def _begin_backoff(self, node):
         if not node.listening:
             self._listen(node, self.engine.now)
+        if node.stream is None:
+            node.stream = RandomStream(self.cfg.seed, node.id + 1)
         node.phase = BACKOFF
         node.remaining = draw_backoff(node.w, node.stream)
         self._defer(node, self.engine.now)
@@ -646,6 +651,7 @@ class Simulation:
         self.limit_us = int(round(cfg.duration * 1_000_000))
         if cfg.offered_load > 0:
             for src in self.sources:
+                src.stream = RandomStream(cfg.seed, src.id + 1)
                 interval = self._gen_interval(src, self._source_rate(src))
                 offset = 1 + src.stream.uniform_int(0, max(0, interval - 1))
                 self.engine.schedule(offset, self._on_generate, src)

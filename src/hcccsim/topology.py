@@ -2,21 +2,22 @@
 
 Routing is intentionally static: breadth-first shortest hop count toward the
 sink, ties broken by the lowest neighbor id.  This isolates the congestion
-control behaviour from routing dynamics.  Connectivity uses the unit-disk
-rule with an inclusive boundary, compared on squared distances so the result
-is exact.
+control behaviour from routing dynamics.  The search visits one hop level at
+a time in ascending id, so it sets each next hop as it goes.  Connectivity
+uses the unit-disk rule with an inclusive boundary, compared on squared
+distances so the result is exact.
 
 Neighbors are found through a uniform grid of square cells slightly wider than
 the radius, so a node is compared only with nodes in its own and the eight
-surrounding cells rather than with every other node.  The grid changes the
-search, not the test: the edges and the ascending order of every neighbor
-list are those of a scan over all pairs, and the simulation iterates the
-lists in that order.  Adjacency is indexed by position in the node list.
+surrounding cells rather than with every other node; coordinates are read
+from two flat lists built once.  The grid changes the search, not the test:
+the edges and the ascending order of every neighbor list are those of a scan
+over all pairs, and the simulation iterates the lists in that order.
+Adjacency is indexed by position in the node list.
 """
 
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -101,8 +102,10 @@ def build_adjacency(nodes, radius):
     n = len(nodes)
     r2 = radius * radius
     cell_side = radius * (1.0 + 1e-9)
-    home = [(math.floor(spec.x / cell_side), math.floor(spec.y / cell_side))
-            for spec in nodes]
+    xs = [spec.x for spec in nodes]
+    ys = [spec.y for spec in nodes]
+    home = [(math.floor(x / cell_side), math.floor(y / cell_side))
+            for x, y in zip(xs, ys)]
     members = {}
     for i, cell in enumerate(home):
         members.setdefault(cell, []).append(i)
@@ -116,11 +119,11 @@ def build_adjacency(nodes, radius):
         candidates[cx, cy] = ids
     adjacency = [[] for _ in range(n)]
     for i in range(n):
-        xi, yi = nodes[i].x, nodes[i].y
+        xi, yi = xs[i], ys[i]
         ids = candidates[home[i]]
         for j in ids[bisect_right(ids, i):]:
-            dx = nodes[j].x - xi
-            dy = nodes[j].y - yi
+            dx = xs[j] - xi
+            dy = ys[j] - yi
             if dx * dx + dy * dy <= r2:
                 adjacency[i].append(j)
                 adjacency[j].append(i)
@@ -130,27 +133,26 @@ def build_adjacency(nodes, radius):
 def compute_routes(adjacency, sink=0):
     """BFS hop counts toward the sink; next hop is the lowest-id neighbor one hop closer.
 
+    Each hop level is visited in ascending id, so the first node of level h
+    to reach a node of level h + 1 is its lowest-id neighbor at level h.
     Unreachable nodes get (None, None).
     """
     n = len(adjacency)
     hop_count = [None] * n
-    hop_count[sink] = 0
-    queue = deque([sink])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if hop_count[v] is None:
-                hop_count[v] = hop_count[u] + 1
-                queue.append(v)
     next_hop = [None] * n
-    for v in range(n):
-        if v == sink or hop_count[v] is None:
-            continue
-        best = None
-        for u in adjacency[v]:
-            if hop_count[u] == hop_count[v] - 1 and (best is None or u < best):
-                best = u
-        next_hop[v] = best
+    hop_count[sink] = 0
+    level, hops = [sink], 0
+    while level:
+        hops += 1
+        found = []
+        for u in level:
+            for v in adjacency[u]:
+                if hop_count[v] is None:
+                    hop_count[v] = hops
+                    next_hop[v] = u
+                    found.append(v)
+        found.sort()
+        level = found
     return next_hop, hop_count
 
 

@@ -122,11 +122,28 @@ def test_validate_range_errors_name_fields():
     ("energy_control", 1e-9)])
 def test_values_below_one_unit_are_rejected(field, bound):
     # A run keeps metrics windows in whole microseconds and energy in whole
-    # nanojoules: a positive value below one unit would round to zero.
-    assert getattr(validate(ScenarioConfig(**{field: bound})), field) == bound
+    # nanojoules: a positive value below one unit would round to zero.  A
+    # 1 us window needs a run of at most 0.1 s (100,000 windows).
+    short = {"duration": 0.1} if field == "window" else {}
+    assert getattr(validate(ScenarioConfig(**{field: bound}, **short)),
+                   field) == bound
     with pytest.raises(ConfigError) as err:
-        validate(ScenarioConfig(**{field: math.nextafter(bound, 0.0)}))
+        validate(ScenarioConfig(**{field: math.nextafter(bound, 0.0)}, **short))
     assert field in str(err.value)
+
+
+def test_more_windows_than_the_series_may_hold_are_rejected():
+    # One series row per window: at 1 us, a 0.5 s run would build 500,000.
+    assert validate(ScenarioConfig(duration=0.1, window=1e-6)).window == 1e-6
+    assert validate(ScenarioConfig(duration=1e6, window=10.0)).window == 10.0
+    for overrides in (dict(duration=0.5, window=1e-6),
+                      dict(duration=0.100001, window=1e-6),
+                      dict(duration=1e6 + 10.0, window=10.0),
+                      # 1.4 us rounds to the 1 us window the run would keep.
+                      dict(duration=0.14, window=1.4e-6)):
+        with pytest.raises(ConfigError) as err:
+            validate(ScenarioConfig(**overrides))
+        assert "window" in str(err.value) and "duration" in str(err.value)
 
 
 @pytest.mark.parametrize("scheme", ["none", "hccc", "aimd_e2e"])

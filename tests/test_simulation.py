@@ -13,6 +13,7 @@ import pytest
 
 from hcccsim import congestion
 from hcccsim.config import ScenarioConfig, validate
+from hcccsim.engine import RandomStream
 from hcccsim.mac import DATA, RTS
 from hcccsim.metrics import build_report, summary_row
 from hcccsim.simulation import Simulation, run_scenario
@@ -115,6 +116,37 @@ def test_zero_offered_load():
     report = build_report(result)
     assert report.packet_loss_ratio == 0.0
     assert report.energy_efficiency == 1.0
+
+
+def test_node_streams_are_made_at_the_first_draw(monkeypatch):
+    # Source 1 reaches the sink through relay 2.  Relay 3 hears only the
+    # sink, which listens as a frame destination but never contends.
+    topo = make_topology([(0.0, 0.0), (50.0, 0.0), (25.0, 0.0), (0.0, 25.0)],
+                         ["sink", "source", "relay", "relay"])
+    cfg = small_cfg(node_count=4, source_count=1, offered_load=5.0,
+                    traffic="poisson", access_jitter_us=1000, seed=9)
+    drawn = {}
+    next_u64 = RandomStream.next_u64
+
+    def recorded(stream):
+        value = next_u64(stream)
+        drawn.setdefault(stream.stream_id, []).append(value)
+        return value
+
+    monkeypatch.setattr(RandomStream, "next_u64", recorded)
+    sim = Simulation(cfg, topology=topo)
+    assert [node.stream for node in sim.nodes] == [None] * 4
+    result = sim.run()
+    sink, source, relay, idle = result.nodes
+    assert result.delivered > 0 and relay.access_delay_n > 0
+    assert sink.listening and sink.stream is None and idle.stream is None
+    assert sorted(drawn) == [source.id + 1, relay.id + 1]
+    for node in (source, relay):
+        assert node.stream.stream_id == node.id + 1
+        # The draws of a fresh stream for (seed, id + 1), in order.
+        fresh = RandomStream(cfg.seed, node.id + 1)
+        assert drawn[node.id + 1] == [next_u64(fresh)
+                                      for _ in drawn[node.id + 1]]
 
 
 @pytest.mark.parametrize("scheme", ["hccc", "none", "aimd_e2e"])
