@@ -1,0 +1,196 @@
+"""Time a base revision against the working tree with the benchmark command.
+
+    python3 scripts/bench_pair.py --base HEAD~1 --out BENCH_21.json
+    python3 scripts/bench_pair.py --base HEAD --workload hccc_default --pairs 1 --seconds 1
+
+The base is checked out with ``git worktree`` beside the working tree, at a
+path exactly as long as the working tree's: the path length moves
+``peak_rss_mb``.  For each workload the script runs ``bench/run.py --trace
+0`` once per side in alternating pairs, and the side that runs first
+alternates from pair to pair, so a drift of the machine's speed during the
+run does not favour one side.  Then it runs ``bench/run.py --trace 1`` once
+per side for the per-layer counts and self times.  Each side runs its own
+``bench/`` and ``src/``.  The worktree is removed at the end.
+
+The output file holds, per workload and end-to-end metric, each side's
+median and quartiles over the pairs and the number of pairs the change
+won, plus every side's digests, ``correct`` flags, per-layer values, the
+commit ids, the Python version, the CPU count and ``PYTHONDONTWRITEBYTECODE``.
+The script gates and bounds nothing: a digest or count that differs is
+recorded, and ``bench/run.py`` with ``BENCHMARK.json`` keeps the bounds.
+"""
+
+import argparse
+import datetime
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("base", "change")
+
+
+def git(*args):
+    return subprocess.run(["git", "-C", ROOT, *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def sibling_path():
+    """A free path beside the working tree, as long as the working tree's."""
+    parent, name = os.path.split(ROOT)
+    for c in "abcdefghijklmnopqrstuvwxyz0123456789":
+        path = os.path.join(parent, name[:-1] + c)
+        if path != ROOT and not os.path.exists(path):
+            return path
+    raise SystemExit("bench_pair: no free sibling path; pass --worktree")
+
+
+def run_bench(root, workload, seed, seconds, trace):
+    """One ``bench/run.py`` run in a checkout: (last-line JSON, digest)."""
+    cmd = [sys.executable, os.path.join(root, "bench", "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        raise SystemExit("bench_pair: %s gave no JSON line (exit %d):\n%s"
+                         % (" ".join(cmd), proc.returncode, proc.stderr[-2000:]))
+    found = re.search(r"digest sha256=([0-9a-f]+)", proc.stdout)
+    return result, found.group(1) if found else None
+
+
+def spread(values):
+    """Median and quartiles of a sample."""
+    if len(values) < 2:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "iqr": q3 - q1}
+
+
+def summarize(pairs, better):
+    """Per metric: each side's spread and the pairs the change won."""
+    out = {}
+    for name in pairs[0]["change"]["metrics"]:
+        values = {side: [p[side]["metrics"][name]["value"] for p in pairs]
+                  for side in SIDES}
+        lower = better.get(name, "lower") == "lower"
+        won = sum(1 for b, c in zip(values["base"], values["change"])
+                  if (c < b if lower else c > b))
+        entry = {"unit": pairs[0]["change"]["metrics"][name]["unit"],
+                 "better": "lower" if lower else "higher",
+                 "pairs": len(pairs), "change_won": won}
+        for side in SIDES:
+            entry[side] = spread(values[side])
+        base_median = entry["base"]["median"]
+        entry["change_vs_base"] = (entry["change"]["median"] / base_median - 1.0
+                                   if base_median else None)
+        out[name] = entry
+    return out
+
+
+def measure(roots, workload, args, better):
+    pairs = []
+    for i in range(args.pairs):
+        first = SIDES[i % 2]
+        pair = {"first": first}
+        for side in (first, SIDES[1 - i % 2]):
+            result, digest = run_bench(roots[side], workload, args.seed,
+                                       args.seconds, 0)
+            pair[side] = dict(result, digest=digest)
+        pairs.append(pair)
+        print("%s pair %d/%d: frames_per_s base %.6g, change %.6g"
+              % (workload, i + 1, args.pairs,
+                 pair["base"]["metrics"]["frames_per_s"]["value"],
+                 pair["change"]["metrics"]["frames_per_s"]["value"]),
+              file=sys.stderr)
+    traced = {side: run_bench(roots[side], workload, args.seed, args.seconds, 1)
+              for side in SIDES}
+    return {
+        "end_to_end": summarize(pairs, better),
+        "correct": {side: all(p[side]["correct"] for p in pairs)
+                    and traced[side][0]["correct"] for side in SIDES},
+        "digests": {side: sorted({p[side]["digest"] for p in pairs}
+                                 | {traced[side][1]}, key=str)
+                    for side in SIDES},
+        "per_layer": {side: {name: m["value"] for name, m
+                             in traced[side][0]["metrics"].items()}
+                      for side in SIDES},
+        "pairs": pairs,
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", action="append",
+                        help="repeatable; default: every workload in BENCHMARK.json")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=25.0,
+                        help="seconds per bench/run.py run")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", default="bench_pair.json", help="JSON file to write")
+    parser.add_argument("--worktree", help="where to check out the base; "
+                        "default: beside the working tree")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        declared = json.load(f)
+    workloads = args.workload or [w["name"] for w in declared["workloads"]]
+    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    path = os.path.abspath(args.worktree) if args.worktree else sibling_path()
+    if len(path) != len(ROOT):
+        parser.error("--worktree %s is not as long as %s" % (path, ROOT))
+
+    base = git("rev-parse", "--verify", args.base + "^{commit}")
+    record = {
+        "created": datetime.datetime.now(datetime.timezone.utc)
+                   .isoformat(timespec="seconds"),
+        "base": {"rev": args.base, "commit": base},
+        "change": {"commit": git("rev-parse", "HEAD"),
+                   "uncommitted": bool(git("status", "--porcelain", "--",
+                                           "src", "bench"))},
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "workloads": {},
+    }
+    for side, rev in (("base", base), ("change", "HEAD")):
+        record[side]["src_tree"] = git("rev-parse", rev + ":src")
+    git("worktree", "add", "--detach", path, base)
+    try:
+        roots = {"base": path, "change": ROOT}
+        for workload in workloads:
+            record["workloads"][workload] = measure(roots, workload, args, better)
+    finally:
+        git("worktree", "remove", "--force", path)
+    with open(args.out, "w") as f:
+        json.dump(record, f, indent=1, sort_keys=True)
+        f.write("\n")
+    for workload, w in record["workloads"].items():
+        for name, m in w["end_to_end"].items():
+            print("%s %s: base %.6g [%.6g, %.6g], change %.6g [%.6g, %.6g], "
+                  "change won %d of %d" % (
+                      workload, name, m["base"]["median"], m["base"]["q1"],
+                      m["base"]["q3"], m["change"]["median"], m["change"]["q1"],
+                      m["change"]["q3"], m["change_won"], m["pairs"]))
+        print("%s correct: base %s, change %s" % (
+            workload, w["correct"]["base"], w["correct"]["change"]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

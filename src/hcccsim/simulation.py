@@ -22,7 +22,12 @@ node's random stream depends on who a frame is for or what it overhears.
 
 Only the nodes that may read these fields keep them: the listeners.  A live
 node starts listening, for good, when it first enters backoff, when a frame
-to it starts, or when its parent starts an HCCC RTS carrying feedback.
+to it starts, or when it is a child of a node that starts an HCCC RTS
+carrying feedback.  ``children[i]`` holds, in id order, only the carriers
+whose next hop is i: the reachable sources and every hop of their routes.
+Feedback steers only a node that sends, and a node on no source's route
+never holds a packet (only the test helper ``inject_packet`` can put one
+there), so it neither listens for its parent's feedback nor decodes it.
 ``_listen`` then fills in its fields from its neighbours' frames on the air
 (``[tx_start, tx_end)``, one per node): ``busy_until`` is their latest end
 and ``busy_since`` their earliest start (0 and None when none is on the
@@ -58,7 +63,7 @@ A packet is its row number in the run's ``PacketLog``: node buffers,
 columns (origin, seq, hop count) are all the state a packet has.
 
 The links between nodes live on the Simulation, indexed by node id:
-``listeners[i]`` (above) and ``children[i]`` (the nodes routing through i);
+``listeners[i]`` and ``children[i]`` (both above);
 the topology's ``adjacency[i]`` lists all of i's neighbours.  A node keeps
 only ``next_hop``, and the routes form a tree toward the sink, so no
 reference cycle joins the nodes: dropping a run's Simulation and RunResult
@@ -228,17 +233,25 @@ class Simulation:
                 r_init = cfg.r_cap
             cc = CongestionState(cfg.buffer_capacity, nominal_service, r_init)
             nodes.append(Node(spec, self.initial_nj, cc, float(cfg.w_max)))
+        self.nodes = nodes
+        self.sources = [n for n in nodes if n.role == "source"
+                        and self.topology.reachable(n.id)]
+        # Only carriers (see the module docstring) are anyone's children.
+        next_hop = self.topology.next_hop
+        carrier = [False] * len(nodes)
+        for src in self.sources:
+            i = src.id
+            while i is not None and not carrier[i]:
+                carrier[i] = True
+                i = next_hop[i]
         self.listeners = [[] for _ in nodes]
         self.children = [[] for _ in nodes]
         for node in nodes:
-            nh = self.topology.next_hop[node.id]
+            nh = next_hop[node.id]
             if nh is not None:
                 node.next_hop = nodes[nh]
-                self.children[nh].append(node)
-        self.nodes = nodes
-
-        self.sources = [n for n in nodes if n.role == "source"
-                        and self.topology.reachable(n.id)]
+                if carrier[node.id]:
+                    self.children[nh].append(node)
         if self.is_aimd:
             for src in self.sources:
                 src.aimd = AimdSource(src.cc.R, cfg.aimd_alpha, cfg.r_min,

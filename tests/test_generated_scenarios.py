@@ -10,7 +10,8 @@ and the run invariants of ``conftest.invariant_errors``: the outcome
 partition, the energy identity, buffer conservation at every node, the
 bounds on R and W and the time order of both traces.  The listener lists
 of each run must be in id order, hold only live neighbours and include
-every node that entered backoff or was a live destination.
+every node that entered backoff or was a live destination, and every
+listening node must be a source or lie on a source's route.
 """
 
 import functools
@@ -62,8 +63,8 @@ class CountingSimulation(Simulation):
 
 def listener_errors(sim):
     """Each listener list is in ascending id order, holds only live
-    neighbours, and every node that entered backoff or was a live
-    destination listens."""
+    neighbours, every node that entered backoff or was a live destination
+    listens, and only sources and the hops of their routes listen."""
     errors = []
     for i, listeners in enumerate(sim.listeners):
         ids = [n.id for n in listeners]
@@ -77,6 +78,16 @@ def listener_errors(sim):
     deaf = sorted(i for i in sim.must_listen if not sim.nodes[i].listening)
     if deaf:
         errors.append("nodes %r never started listening" % deaf)
+    on_route = set()
+    for src in sim.sources:
+        i = src.id
+        while i is not None:
+            on_route.add(i)
+            i = sim.topology.next_hop[i]
+    stray = sorted(n.id for n in sim.nodes
+                   if n.listening and n.id not in on_route)
+    if stray:
+        errors.append("nodes %r listen but lie on no source's route" % stray)
     return errors
 
 

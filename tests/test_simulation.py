@@ -149,6 +149,26 @@ def test_node_streams_are_made_at_the_first_draw(monkeypatch):
                                       for _ in drawn[node.id + 1]]
 
 
+def test_only_carriers_listen_for_feedback():
+    # Source 2 reaches the sink through relay 1.  Relay 3 hears only node 1
+    # and routes through it, but lies on no source's route: it never holds a
+    # packet, so it neither listens for node 1's feedback nor decodes it.
+    topo = make_topology([(0.0, 0.0), (25.0, 0.0), (50.0, 0.0), (25.0, 25.0)],
+                         ["sink", "relay", "source", "relay"])
+    cfg = small_cfg(node_count=4, source_count=1, scheme="hccc",
+                    offered_load=5.0, trace_mac=True, trace_hccc=True)
+    sim = Simulation(cfg, topology=topo)
+    assert topo.next_hop[3] == 1 and topo.adjacency[3] == [1]
+    sim.run()
+    assert any(row[1] == 1 and row[2] == RTS and row[4] == "tx_start"
+               for row in sim.mac_trace)
+    idle = sim.nodes[3]
+    assert not idle.listening
+    assert not any(idle in listeners for listeners in sim.listeners)
+    assert idle.pending_feedback is None
+    assert "feedback" in [row[6] for row in sim.hccc_trace if row[1] == 2]
+
+
 @pytest.mark.parametrize("scheme", ["hccc", "none", "aimd_e2e"])
 def test_finished_run_is_freed_by_reference_counting(scheme):
     # Events queued past the horizon must not keep the Simulation alive in
