@@ -3,21 +3,27 @@
     python3 scripts/bench_pair.py --base HEAD~1 --out BENCH_21.json
     python3 scripts/bench_pair.py --base HEAD --workload hccc_default --pairs 1 --seconds 1
 
-The base is checked out with ``git worktree`` beside the working tree, at a
+The base is unpacked with ``git archive`` beside the working tree, at a
 path exactly as long as the working tree's: the path length moves
 ``peak_rss_mb``.  For each workload the script runs ``bench/run.py --trace
 0`` once per side in alternating pairs, and the side that runs first
 alternates from pair to pair, so a drift of the machine's speed during the
 run does not favour one side.  Then it runs ``bench/run.py --trace 1`` once
-per side for the per-layer counts and self times.  Each side runs its own
-``bench/`` and ``src/``.  The worktree is removed at the end.
+per side for the per-layer counts and self times.  Last, it reads
+``peak_rss_mb`` once more per side with bytecode cached: a 1 s warm-up run
+and one measured ``--trace 0`` run, with ``PYTHONDONTWRITEBYTECODE`` unset
+and ``PYTHONPYCACHEPREFIX`` set to a temporary directory of that side's, so
+the reading does not move with the length of the source text and no
+bytecode is written into either checkout.  Each side runs its own
+``bench/`` and ``src/``.  The base copy is removed at the end.
 
 The output file holds, per workload and end-to-end metric, each side's
 median and quartiles over the pairs and the number of pairs the change
-won, plus every side's digests, ``correct`` flags, per-layer values, the
-commit ids, the Python version, the CPU count and ``PYTHONDONTWRITEBYTECODE``.
-The script gates and bounds nothing: a digest or count that differs is
-recorded, and ``bench/run.py`` with ``BENCHMARK.json`` keeps the bounds.
+won, plus every side's digests, ``correct`` flags, per-layer values and
+``peak_rss_mb_cached`` reading, the commit ids, the Python version, the CPU
+count and ``PYTHONDONTWRITEBYTECODE``.  The script gates and bounds nothing:
+a digest or count that differs is recorded, and ``bench/run.py`` with
+``BENCHMARK.json`` keeps the bounds.
 """
 
 import argparse
@@ -26,9 +32,11 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "change")
@@ -49,12 +57,13 @@ def sibling_path():
     raise SystemExit("bench_pair: no free sibling path; pass --worktree")
 
 
-def run_bench(root, workload, seed, seconds, trace):
+def run_bench(root, workload, seed, seconds, trace, env=None):
     """One ``bench/run.py`` run in a checkout: (last-line JSON, digest)."""
     cmd = [sys.executable, os.path.join(root, "bench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                          env=env)
     lines = proc.stdout.splitlines()
     try:
         result = json.loads(lines[-1])
@@ -96,6 +105,18 @@ def summarize(pairs, better):
     return out
 
 
+def cached_rss(root, workload, args):
+    """``peak_rss_mb`` of one run after a warm-up has cached the bytecode
+    in a temporary directory."""
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    with tempfile.TemporaryDirectory(prefix="bench_pair_pyc_") as prefix:
+        env["PYTHONPYCACHEPREFIX"] = prefix
+        run_bench(root, workload, args.seed, 1, 0, env)
+        result, _ = run_bench(root, workload, args.seed, args.seconds, 0, env)
+    return result["metrics"]["peak_rss_mb"]["value"]
+
+
 def measure(roots, workload, args, better):
     pairs = []
     for i in range(args.pairs):
@@ -113,6 +134,7 @@ def measure(roots, workload, args, better):
               file=sys.stderr)
     traced = {side: run_bench(roots[side], workload, args.seed, args.seconds, 1)
               for side in SIDES}
+    cached = {side: cached_rss(roots[side], workload, args) for side in SIDES}
     return {
         "end_to_end": summarize(pairs, better),
         "correct": {side: all(p[side]["correct"] for p in pairs)
@@ -123,6 +145,7 @@ def measure(roots, workload, args, better):
         "per_layer": {side: {name: m["value"] for name, m
                              in traced[side][0]["metrics"].items()}
                       for side in SIDES},
+        "peak_rss_mb_cached": cached,
         "pairs": pairs,
     }
 
@@ -137,7 +160,7 @@ def main(argv=None):
                         help="seconds per bench/run.py run")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", default="bench_pair.json", help="JSON file to write")
-    parser.add_argument("--worktree", help="where to check out the base; "
+    parser.add_argument("--worktree", help="where to unpack the base; "
                         "default: beside the working tree")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -170,13 +193,16 @@ def main(argv=None):
     }
     for side, rev in (("base", base), ("change", "HEAD")):
         record[side]["src_tree"] = git("rev-parse", rev + ":src")
-    git("worktree", "add", "--detach", path, base)
+    os.mkdir(path)
     try:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", base],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", path], input=archive, check=True)
         roots = {"base": path, "change": ROOT}
         for workload in workloads:
             record["workloads"][workload] = measure(roots, workload, args, better)
     finally:
-        git("worktree", "remove", "--force", path)
+        shutil.rmtree(path)
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1, sort_keys=True)
         f.write("\n")
@@ -187,6 +213,9 @@ def main(argv=None):
                       workload, name, m["base"]["median"], m["base"]["q1"],
                       m["base"]["q3"], m["change"]["median"], m["change"]["q1"],
                       m["change"]["q3"], m["change_won"], m["pairs"]))
+        print("%s peak_rss_mb_cached: base %.6g, change %.6g" % (
+            workload, w["peak_rss_mb_cached"]["base"],
+            w["peak_rss_mb_cached"]["change"]))
         print("%s correct: base %s, change %s" % (
             workload, w["correct"]["base"], w["correct"]["change"]))
     return 0

@@ -23,8 +23,8 @@ node's random stream depends on who a frame is for or what it overhears.
 Only the nodes that may read these fields keep them: the listeners.  A live
 node starts listening, for good, when it first enters backoff, when a frame
 to it starts, or when it is a child of a node that starts an HCCC RTS
-carrying feedback.  ``children[i]`` holds, in id order, only the carriers
-whose next hop is i: the reachable sources and every hop of their routes.
+carrying feedback.  ``children`` maps a node to the carriers, in id order,
+whose next hop it is: the reachable sources and every hop of their routes.
 Feedback steers only a node that sends, and a node on no source's route
 never holds a packet (only the test helper ``inject_packet`` can put one
 there), so it neither listens for its parent's feedback nor decodes it.
@@ -59,15 +59,16 @@ backoff.  Its values depend only on the seed and the id, so when it is made
 changes no draw, and a node that never contends never pays for one.
 
 A packet is its row number in the run's ``PacketLog``: node buffers,
-``Node.last_accepted`` and ``Frame.data_id`` hold that int, and the log's
+``last_accepted`` and ``Frame.data_id`` hold that int, and the log's
 columns (origin, seq, hop count) are all the state a packet has.
 
-The links between nodes live on the Simulation, indexed by node id:
-``listeners[i]`` and ``children[i]`` (both above);
-the topology's ``adjacency[i]`` lists all of i's neighbours.  A node keeps
-only ``next_hop``, and the routes form a tree toward the sink, so no
-reference cycle joins the nodes: dropping a run's Simulation and RunResult
-frees it by reference counting alone.
+The links between nodes live on the Simulation: ``listeners[i]``, the dict
+``children`` (both above) and the dict ``last_accepted``, which maps a sender
+to the last packet its next hop accepted from it; routes are static and DATA
+goes only to the sender's next hop, so the sender alone names the link.  A
+node keeps only ``next_hop``, and the routes form a tree toward the sink, so
+no reference cycle joins the nodes: dropping a run's Simulation and
+RunResult frees it by reference counting alone.
 
 A node buffer (``Node.cc.buffer``) is a FIFO list that only this module changes:
 ``_admit`` is the one way in (a drop-tail test against the capacity) and
@@ -125,7 +126,7 @@ class Node:
         "tx_start", "tx_end", "listening",
         "busy_until", "busy_since", "rx_frame", "rx_prev",
         "responding_until",
-        "pending_feedback", "last_accepted", "gen_seq",
+        "pending_feedback", "gen_seq",
         "access_delay_sum",
         "access_delay_n",       # also the number of packets forwarded
         "admitted", "removed",
@@ -159,7 +160,6 @@ class Node:
         self.rx_prev = None
         self.responding_until = 0
         self.pending_feedback = None
-        self.last_accepted = {}
         self.gen_seq = 0
         self.access_delay_sum = 0
         self.access_delay_n = 0
@@ -224,7 +224,7 @@ class Simulation:
         self.slot, self.difs, self.jitter_max = t.slot, t.difs, t.jitter_max
         self.data_air, self.ctrl_air = t.data_air, t.ctrl_air
 
-        nominal_service = self.data_air + self.slot
+        nominal_service, w_max = float(self.data_air + self.slot), float(cfg.w_max)
         nodes = []
         for spec in self.topology.nodes:
             if spec.role == "source":
@@ -232,7 +232,7 @@ class Simulation:
             else:
                 r_init = cfg.r_cap
             cc = CongestionState(cfg.buffer_capacity, nominal_service, r_init)
-            nodes.append(Node(spec, self.initial_nj, cc, float(cfg.w_max)))
+            nodes.append(Node(spec, self.initial_nj, cc, w_max))
         self.nodes = nodes
         self.sources = [n for n in nodes if n.role == "source"
                         and self.topology.reachable(n.id)]
@@ -245,13 +245,14 @@ class Simulation:
                 carrier[i] = True
                 i = next_hop[i]
         self.listeners = [[] for _ in nodes]
-        self.children = [[] for _ in nodes]
+        self.children = {}
         for node in nodes:
             nh = next_hop[node.id]
             if nh is not None:
                 node.next_hop = nodes[nh]
                 if carrier[node.id]:
-                    self.children[nh].append(node)
+                    self.children.setdefault(nh, []).append(node)
+        self.last_accepted = {}
         if self.is_aimd:
             for src in self.sources:
                 src.aimd = AimdSource(src.cc.R, cfg.aimd_alpha, cfg.r_min,
@@ -334,7 +335,7 @@ class Simulation:
         if dst.alive and not dst.listening:
             self._listen(dst, now)
         if frame.feedback is not None:
-            for n in self.children[node.id]:
+            for n in self.children.get(node.id, ()):
                 if n.alive and not n.listening:
                     self._listen(n, now)
         node.tx_start = now
@@ -363,13 +364,11 @@ class Simulation:
         self.engine.schedule(end, self._tx_end, node, frame)
 
     def _tx_end(self, node, frame):
-        # Only the destination acts on a frame, and the sender's children on
-        # the feedback an RTS carries.
         dst = self.nodes[frame.dst]
         fer = self.timing.error_rate(frame.kind)
         received = self._decoded(dst, frame, fer)
         if frame.feedback is not None:
-            for n in self.children[node.id]:
+            for n in self.children.get(node.id, ()):
                 if self._decoded(n, frame, fer):
                     n.pending_feedback = frame.feedback
         if received:
@@ -539,7 +538,7 @@ class Simulation:
             pkt = self._dequeue(node)
             # If the next hop accepted the DATA frame, only its ACKs were
             # lost: the packet travels on from there.
-            if node.next_hop.last_accepted.get(node.id) != pkt:
+            if self.last_accepted.get(node.id) != pkt:
                 self.log.finish(pkt, MAC_RETRY_EXHAUSTED, self.engine.now)
             node.phase = IDLE
             self._start_access(node)
@@ -581,9 +580,9 @@ class Simulation:
             self.engine.schedule(now + self.timing.sifs, self._tx_ack,
                                  node, frame)
             pkt = frame.data_id
-            if node.last_accepted.get(frame.src) == pkt:
+            if self.last_accepted.get(frame.src) == pkt:
                 return
-            node.last_accepted[frame.src] = pkt
+            self.last_accepted[frame.src] = pkt
             self.log.hops[pkt] += 1
             if node.id == 0:
                 self._deliver_at_sink(pkt, now)

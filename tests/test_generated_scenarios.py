@@ -11,7 +11,9 @@ partition, the energy identity, buffer conservation at every node, the
 bounds on R and W and the time order of both traces.  The listener lists
 of each run must be in id order, hold only live neighbours and include
 every node that entered backoff or was a live destination, and every
-listening node must be a source or lie on a source's route.
+listening node must be a source or lie on a source's route.  Every RTS and
+DATA frame must go to its sender's next hop: ``Simulation.last_accepted``
+is keyed by the sender alone, which is only right while that holds.
 """
 
 import functools
@@ -20,6 +22,7 @@ import pytest
 
 from hcccsim.config import SCHEMES, ScenarioConfig, validate
 from hcccsim.engine import RandomStream
+from hcccsim.mac import DATA, RTS
 from hcccsim.simulation import Simulation
 
 import test_mac_audit
@@ -91,6 +94,15 @@ def listener_errors(sim):
     return errors
 
 
+def off_route_frames(sim):
+    """The MAC trace rows of RTS and DATA frames sent anywhere but to the
+    sender's next hop."""
+    next_hop = sim.topology.next_hop
+    return [row for row in sim.mac_trace
+            if row[4] == "tx_start" and row[2] in (RTS, DATA)
+            and row[3] != next_hop[row[1]]]
+
+
 def draw_config(stream):
     node_count = stream.uniform_int(3, 12)
     lossy = stream.random() < 0.3
@@ -134,6 +146,7 @@ def test_generated_scenario_invariants(i):
     assert test_mac_audit.audit(sim) == []
     assert invariant_errors(result) == []
     assert listener_errors(sim) == []
+    assert off_route_frames(sim) == []
 
 
 def test_generated_cases_cover_the_hard_paths():
