@@ -15,7 +15,10 @@ and one measured ``--trace 0`` run, with ``PYTHONDONTWRITEBYTECODE`` unset
 and ``PYTHONPYCACHEPREFIX`` set to a temporary directory of that side's, so
 the reading does not move with the length of the source text and no
 bytecode is written into either checkout.  Each side runs its own
-``bench/`` and ``src/``.  The base copy is removed at the end.
+``bench/`` and ``src/``.  The base copy is removed at the end, also when
+the script is stopped by SIGTERM or SIGINT: each ``bench/run.py`` runs in
+its own process group, and a stopped script kills that group, with the
+``pipeline.py`` repetition it started, before it removes the copy.
 
 The output file holds, per workload and end-to-end metric, each side's
 median and quartiles over the pairs and the number of pairs the change
@@ -33,10 +36,12 @@ import os
 import platform
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "change")
@@ -62,16 +67,43 @@ def run_bench(root, workload, seed, seconds, trace, env=None):
     cmd = [sys.executable, os.path.join(root, "bench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
-                          env=env)
-    lines = proc.stdout.splitlines()
+    with subprocess.Popen(cmd, cwd=root, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=env,
+                          start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:
+            kill_group(proc)
+            raise
+    lines = stdout.splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         raise SystemExit("bench_pair: %s gave no JSON line (exit %d):\n%s"
-                         % (" ".join(cmd), proc.returncode, proc.stderr[-2000:]))
-    found = re.search(r"digest sha256=([0-9a-f]+)", proc.stdout)
+                         % (" ".join(cmd), proc.returncode, stderr[-2000:]))
+    found = re.search(r"digest sha256=([0-9a-f]+)", stdout)
     return result, found.group(1) if found else None
+
+
+def kill_group(proc):
+    """Kill the process group a child leads and wait until it is empty."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        return
+    proc.wait()
+    # The leader's children are not ours to wait for: poll for up to 5 s.
+    for _ in range(100):
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.05)
+
+
+def stop(signum, frame):
+    """Turn SIGTERM and SIGINT into SystemExit, so that ``finally`` runs."""
+    raise SystemExit(128 + signum)
 
 
 def spread(values):
@@ -193,6 +225,8 @@ def main(argv=None):
     }
     for side, rev in (("base", base), ("change", "HEAD")):
         record[side]["src_tree"] = git("rev-parse", rev + ":src")
+    signal.signal(signal.SIGTERM, stop)
+    signal.signal(signal.SIGINT, stop)
     os.mkdir(path)
     try:
         archive = subprocess.run(["git", "-C", ROOT, "archive", base],

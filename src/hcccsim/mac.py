@@ -43,6 +43,7 @@ class MacTiming:
 
     __slots__ = ("slot", "sifs", "difs", "retry_limit", "jitter_max",
                  "ctrl_air", "data_air", "cts_timeout", "ack_timeout",
+                 "response_us",
                  "ctrl_fer", "data_fer")
 
     def __init__(self, cfg):
@@ -56,6 +57,9 @@ class MacTiming:
         # Timeouts cover the expected response plus one slot of guard time.
         self.cts_timeout = self.ctrl_air + self.sifs + self.ctrl_air + self.slot
         self.ack_timeout = self.data_air + self.sifs + self.ctrl_air + self.slot
+        # A node that answers an RTS holds off its own access this long:
+        # CTS, DATA and ACK, each after one SIFS.
+        self.response_us = 3 * self.sifs + 2 * self.ctrl_air + self.data_air
         self.ctrl_fer = frame_error_probability(cfg.frame_error_rate,
                                                 cfg.bit_error_rate, cfg.control_size)
         self.data_fer = frame_error_probability(cfg.frame_error_rate,

@@ -20,28 +20,19 @@ HCCC feedback, the sender's children.  On a lossy channel each of them takes
 a frame-error draw keyed by (run seed, receiver, attempt number), so no
 node's random stream depends on who a frame is for or what it overhears.
 
-Only the nodes that may read these fields keep them: the listeners.  A live
-node starts listening, for good, when it first enters backoff, when a frame
-to it starts, or when it is a child of a node that starts an HCCC RTS
-carrying feedback.  ``children`` maps a node to the carriers, in id order,
-whose next hop it is: the reachable sources and every hop of their routes.
-Feedback steers only a node that sends, and a node on no source's route
-never holds a packet (only the test helper ``inject_packet`` can put one
-there), so it neither listens for its parent's feedback nor decodes it.
-``_listen`` then fills in its fields from its neighbours' frames on the air
-(``[tx_start, tx_end)``, one per node): ``busy_until`` is their latest end
-and ``busy_since`` their earliest start (0 and None when none is on the
-air), and no reception is clean.  Those values answer every later test as
-the full history would: ``busy_until > now`` holds exactly while a frame is
-on the air, ``busy_since < now`` exactly when one of those started earlier,
-and a value of ``busy_until`` at or before now is never used.
-``rx_frame`` and ``rx_prev`` are read only for a frame to the node or its
-parent's feedback, and such a frame starts after the node listens.  The
-fields of other nodes are never read: carrier sense and freezes act only on
-nodes in backoff.  ``_listen`` adds the node, in id order, to
-``listeners[j]`` of each neighbour j, and a frame from j updates only
-``listeners[j]``; a node that dies leaves those lists.  Kept in id order,
+Only carriers keep these fields current.  A carrier is a reachable source
+or a hop of a source's route (``carrier``), and only carriers contend, are
+addressed or decode feedback: a frame goes to its sender's next hop or to
+the sender it answers, and a node on no source's route never holds a
+packet.  ``listeners[j]`` holds the live carriers among j's neighbours, in
+id order.  It is made at j's first frame, and a frame from j updates only
+the nodes on it, so each of them has seen every frame of j and keeps the
+fields a full history would give.  A node that dies leaves every list made
+so far, and a list made later leaves it out: a dead node on a list would
+have its countdown frozen, which schedules a wake-up.  Kept in id order,
 the lists freeze countdowns in the order a walk over all neighbours would.
+``children`` maps a node to the carriers, in id order, whose next hop it
+is: the nodes that decode the HCCC feedback on its RTS.
 
 Channel access works without per-slot polling.  A countdown is
 (``remaining``, ``wake_time``): ``remaining`` slots are counted down in one
@@ -62,7 +53,7 @@ A packet is its row number in the run's ``PacketLog``: node buffers,
 ``last_accepted`` and ``Frame.data_id`` hold that int, and the log's
 columns (origin, seq, hop count) are all the state a packet has.
 
-The links between nodes live on the Simulation: ``listeners[i]``, the dict
+The links between nodes live on the Simulation: ``listeners[j]``, the dict
 ``children`` (both above) and the dict ``last_accepted``, which maps a sender
 to the last packet its next hop accepted from it; routes are static and DATA
 goes only to the sender's next hop, so the sender alone names the link.  A
@@ -85,10 +76,8 @@ starts below one DATA charge lives through free control frames and dies at
 its first DATA frame.  A dead node stops generating, forwarding and responding.
 """
 
-import bisect
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from . import congestion
 from .config import ScenarioConfig
@@ -98,8 +87,6 @@ from .mac import RTS, CTS, DATA, ACK, Frame, MacTiming, draw_backoff
 from .topology import build_topology
 from .traffic import (AimdSource, PacketLog, OUTCOME_CODE, joules_to_nj,
                       DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED)
-
-_node_id = attrgetter("id")
 
 
 def _clean(node, frame):
@@ -123,7 +110,7 @@ class Node:
         "phase", "remaining", "wake_time",     # wake_time 0: no countdown
         "epoch", "retries", "access_pending", "access_started_at",
         "next_access_time",
-        "tx_start", "tx_end", "listening",
+        "tx_start", "tx_end",
         "busy_until", "busy_since", "rx_frame", "rx_prev",
         "responding_until",
         "pending_feedback", "gen_seq",
@@ -153,7 +140,6 @@ class Node:
         self.next_access_time = 0
         self.tx_start = 0
         self.tx_end = 0
-        self.listening = False
         self.busy_until = 0
         self.busy_since = 0
         self.rx_frame = None
@@ -236,15 +222,15 @@ class Simulation:
         self.nodes = nodes
         self.sources = [n for n in nodes if n.role == "source"
                         and self.topology.reachable(n.id)]
-        # Only carriers (see the module docstring) are anyone's children.
+        # Only carriers (see the module docstring) listen or are children.
         next_hop = self.topology.next_hop
-        carrier = [False] * len(nodes)
+        carrier = self.carrier = [False] * len(nodes)
         for src in self.sources:
             i = src.id
             while i is not None and not carrier[i]:
                 carrier[i] = True
                 i = next_hop[i]
-        self.listeners = [[] for _ in nodes]
+        self.listeners = [None] * len(nodes)   # made at each sender's first frame
         self.children = {}
         for node in nodes:
             nh = next_hop[node.id]
@@ -296,22 +282,6 @@ class Simulation:
         return node.tx_end > now or (node.busy_until > now
                                      and node.busy_since < now)
 
-    def _listen(self, node, now):
-        """Make node a listener from now on (see the module docstring)."""
-        nodes = self.nodes
-        until, since = 0, None
-        for j in self.topology.adjacency[node.id]:
-            m = nodes[j]
-            if m.tx_end > now:
-                if m.tx_end > until:
-                    until = m.tx_end
-                if since is None or m.tx_start < since:
-                    since = m.tx_start
-            bisect.insort(self.listeners[j], node, key=_node_id)
-        node.busy_until, node.busy_since = until, since
-        node.rx_frame = node.rx_prev = None
-        node.listening = True
-
     def _start_tx(self, node, frame):
         now = self.engine.now
         if frame.kind == DATA:
@@ -327,24 +297,23 @@ class Simulation:
             if node.alive and node.energy_nj < self.data_nj:
                 node.alive = False
                 node.death_time = now
-                if node.listening:
-                    for j in self.topology.adjacency[node.id]:
+                for j in self.topology.adjacency[node.id]:
+                    if self.listeners[j] is not None:
                         self.listeners[j].remove(node)
-        # The receivers listen before this frame is on the air.
+        listeners = self.listeners[node.id]
+        if listeners is None:
+            nodes, carrier = self.nodes, self.carrier
+            listeners = self.listeners[node.id] = [
+                nodes[i] for i in self.topology.adjacency[node.id]
+                if carrier[i] and nodes[i].alive]
         dst = self.nodes[frame.dst]
-        if dst.alive and not dst.listening:
-            self._listen(dst, now)
-        if frame.feedback is not None:
-            for n in self.children.get(node.id, ()):
-                if n.alive and not n.listening:
-                    self._listen(n, now)
         node.tx_start = now
         node.tx_end = end
         frame.heard = dst.alive
         frame.serial = self.data_attempts + self.ctrl_attempts
         if node.wake_time > now:
             self._freeze(node, now)
-        for n in self.listeners[node.id]:
+        for n in listeners:
             if n.busy_until > now:
                 # Overlaps a reception in progress: both are lost.
                 n.rx_frame = None
@@ -472,8 +441,6 @@ class Simulation:
         self._begin_backoff(node)
 
     def _begin_backoff(self, node):
-        if not node.listening:
-            self._listen(node, self.engine.now)
         if node.stream is None:
             node.stream = RandomStream(self.cfg.seed, node.id + 1)
         node.phase = BACKOFF
@@ -548,8 +515,7 @@ class Simulation:
     def _complete_send(self, node):
         now = self.engine.now
         if self.is_hccc:
-            congestion.on_packet_departure(node.cc, now, self.timing.data_air,
-                                           self.cfg)
+            congestion.on_packet_departure(node.cc, now, self.data_air, self.cfg)
         self._dequeue(node)
         node.access_delay_sum += now - node.access_started_at
         node.access_delay_n += 1
@@ -566,10 +532,9 @@ class Simulation:
         if kind == RTS:
             if (node.tx_end <= now and now >= node.responding_until
                     and node.phase in (IDLE, BACKOFF)):
-                t = self.timing
-                node.responding_until = (now + 3 * t.sifs + 2 * t.ctrl_air
-                                         + t.data_air)
-                self.engine.schedule(now + t.sifs, self._tx_cts, node, frame)
+                node.responding_until = now + self.timing.response_us
+                self.engine.schedule(now + self.timing.sifs, self._tx_cts,
+                                     node, frame)
         elif kind == CTS:
             if (node.phase == AWAIT_CTS and node.cc.buffer
                     and frame.data_id == node.cc.buffer[0]):

@@ -43,7 +43,10 @@ def inject_packet(sim, node):
     which kicks off channel access; returns the packet.
 
     Used with offered_load=0 scenarios to control send timing exactly.
+    Only a carrier, a reachable source or a hop of a source's route, holds
+    packets in a run, so only a carrier may be given one.
     """
+    assert sim.carrier[node.id], "node %d carries no source's traffic" % node.id
     pkt = sim._new_packet(node)
     sim._admit(node, pkt)
     return pkt

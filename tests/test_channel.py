@@ -61,27 +61,23 @@ def test_one_microsecond_overlap_collides():
 
 
 def test_destination_that_starts_listening_on_the_air_sees_the_overlap():
-    # Node 2 keeps no channel state while node 1's frame to the sink goes
-    # out over [0, 160).  Node 3's frame to node 2 starts at t=80, so node 2
-    # starts listening under node 1's frame and must lose node 3's.
+    # Node 2 has sent and been sent nothing when node 1's frame to the sink
+    # goes out over [0, 160).  Node 3's frame to node 2 starts at t=80,
+    # under node 1's frame, so node 2 must lose it.
     cfg = small_cfg(node_count=4, source_count=3, trace_mac=True)
     sim = Simulation(cfg, topology=star_topology())
     send_at(sim, 0, 1, 0)
     send_at(sim, 80, 3, 2)
-    sim.engine.run_until(79)
-    assert not sim.nodes[2].listening
-    assert sim.nodes[2] not in sim.listeners[1]
     sim.engine.run_until(10_000)
-    assert sim.nodes[2] in sim.listeners[1]
     assert outcomes(sim) == [(160, 1, "collided"), (240, 3, "collided")]
     assert audit(sim) == []
 
 
 def test_node_entering_backoff_on_the_air_defers_past_the_frame():
     # At 100 kbps node 1's control frame to the sink is on the air over
-    # [0, 1600).  Node 2 keeps no channel state until it enters backoff at
-    # t=100; with w = 1 and no jitter it must sense that frame and send its
-    # RTS one DIFS after the frame's end, not one DIFS after t=100.
+    # [0, 1600).  Node 2 is idle until it enters backoff at t=100; with
+    # w = 1 and no jitter it must sense that frame and send its RTS one
+    # DIFS after the frame's end, not one DIFS after t=100.
     cfg = small_cfg(node_count=4, source_count=3, trace_mac=True,
                     bit_rate=100_000.0)
     sim = Simulation(cfg, topology=star_topology())
@@ -91,12 +87,31 @@ def test_node_entering_backoff_on_the_air_defers_past_the_frame():
     node.w = 1.0
     send_at(sim, 0, 1, 0)
     sim.engine.schedule(100, inject_packet, sim, node)
-    sim.engine.run_until(99)
-    assert not node.listening
     sim.engine.run_until(5_000)
     rts_starts = [row[0] for row in sim.mac_trace
                   if row[1:3] == (2, RTS) and row[4] == "tx_start"]
     assert rts_starts == [1600 + t.difs]
+    assert audit(sim) == []
+
+
+def test_listener_list_made_after_a_neighbour_died_leaves_it_out():
+    # Every node starts below one DATA charge and control frames are free,
+    # so node 1 dies as its first DATA frame starts.  Node 3 sends its first
+    # frame only after that: its listener list is made without node 1.
+    cfg = small_cfg(node_count=4, source_count=3, trace_mac=True,
+                    energy_initial=5e-5, energy_per_packet=1e-4)
+    sim = Simulation(cfg, topology=star_topology())
+    dying, late = sim.nodes[1], sim.nodes[3]
+    inject_packet(sim, dying)
+    sim.engine.run_until(200_000)
+    assert dying.death_time is not None
+    assert sim.listeners[late.id] is None
+    inject_packet(sim, late)
+    sim.engine.run_until(400_000)
+    assert [row[4] for row in sim.mac_trace
+            if row[1] == late.id and row[2] == RTS] == ["tx_start", "ok"]
+    assert sim.listeners[late.id] == [sim.nodes[0], sim.nodes[2]]
+    assert dying not in sim.listeners[0]
     assert audit(sim) == []
 
 

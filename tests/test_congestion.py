@@ -85,11 +85,14 @@ def test_departure_with_empty_buffer_is_fatal():
 
 def test_departure_pops_fifo_head():
     # A sent packet is observed in T_s and then leaves the buffer at its
-    # head.  A relay paces at r_cap, so both go out within the second.
-    sim = Simulation(small_cfg(node_count=2, source_count=1, scheme="hccc"),
-                     topology=make_topology([(0.0, 0.0), (10.0, 0.0)],
-                                            ["sink", "relay"]))
+    # head.  A relay paces at r_cap, so both go out within the second.  The
+    # idle source 2 routes through the relay.
+    sim = Simulation(small_cfg(node_count=3, source_count=1, scheme="hccc"),
+                     topology=make_topology([(0.0, 0.0), (10.0, 0.0),
+                                             (35.0, 0.0)],
+                                            ["sink", "relay", "source"]))
     relay = sim.nodes[1]
+    assert sim.topology.next_hop[2] == 1
     first, second = inject_packet(sim, relay), inject_packet(sim, relay)
     sim.engine.run_until(1_000_000)
     delivered = OUTCOME_CODE[DELIVERED]

@@ -8,10 +8,10 @@ frames on the air is redrawn from the same stream.  Every case runs with
 the MAC and HCCC traces on and must pass the channel audit, the MAC audit
 and the run invariants of ``conftest.invariant_errors``: the outcome
 partition, the energy identity, buffer conservation at every node, the
-bounds on R and W and the time order of both traces.  The listener lists
-of each run must be in id order, hold only live neighbours and include
-every node that entered backoff or was a live destination, and every
-listening node must be a source or lie on a source's route.  Every RTS and
+bounds on R and W and the time order of both traces.  Each listener list a
+run made must hold exactly the live carriers among its sender's neighbours,
+in id order, and every node that entered backoff or was a live destination
+must be a carrier: a source or a hop of a source's route.  Every RTS and
 DATA frame must go to its sender's next hop: ``Simulation.last_accepted``
 is keyed by the sender alone, which is only right while that holds.
 """
@@ -34,12 +34,10 @@ MIN_FRAMES = 100
 
 
 class CountingSimulation(Simulation):
-    """Counts freezes and the nodes that start listening while a
-    neighbour's frame is on the air; records every node that entered
-    backoff or was the live destination of a frame."""
+    """Counts freezes; records every node that entered backoff or was the
+    live destination of a frame."""
 
     freezes = 0
-    busy_listens = 0
 
     def __init__(self, cfg):
         super().__init__(cfg)
@@ -48,11 +46,6 @@ class CountingSimulation(Simulation):
     def _freeze(self, node, now):
         self.freezes += 1
         super()._freeze(node, now)
-
-    def _listen(self, node, now):
-        super()._listen(node, now)
-        if node.busy_until > now:
-            self.busy_listens += 1
 
     def _begin_backoff(self, node):
         self.must_listen.add(node.id)
@@ -65,32 +58,31 @@ class CountingSimulation(Simulation):
 
 
 def listener_errors(sim):
-    """Each listener list is in ascending id order, holds only live
-    neighbours, every node that entered backoff or was a live destination
-    listens, and only sources and the hops of their routes listen."""
+    """Each listener list made holds the live carriers among its sender's
+    neighbours, in ascending id order, and every node that entered backoff
+    or was a live destination is a source or a hop of a source's route."""
     errors = []
-    for i, listeners in enumerate(sim.listeners):
+    for j, listeners in enumerate(sim.listeners):
+        if listeners is None:
+            continue
         ids = [n.id for n in listeners]
-        if ids != sorted(set(ids)):
-            errors.append("listeners[%d] not ascending: %r" % (i, ids))
-        if not set(ids) <= set(sim.topology.adjacency[i]):
-            errors.append("listeners[%d] holds a non-neighbour: %r" % (i, ids))
-        dead = [n.id for n in listeners if not n.alive]
-        if dead:
-            errors.append("listeners[%d] holds dead nodes %r" % (i, dead))
-    deaf = sorted(i for i in sim.must_listen if not sim.nodes[i].listening)
-    if deaf:
-        errors.append("nodes %r never started listening" % deaf)
+        live = [i for i in sim.topology.adjacency[j]
+                if sim.carrier[i] and sim.nodes[i].alive]
+        if ids != live:
+            errors.append("listeners[%d] is %r, not the live carriers %r"
+                          % (j, ids, live))
     on_route = set()
     for src in sim.sources:
         i = src.id
         while i is not None:
             on_route.add(i)
             i = sim.topology.next_hop[i]
-    stray = sorted(n.id for n in sim.nodes
-                   if n.listening and n.id not in on_route)
+    if {i for i, c in enumerate(sim.carrier) if c} != on_route:
+        errors.append("carriers are not the hops of the sources' routes")
+    stray = sorted(sim.must_listen - on_route)
     if stray:
-        errors.append("nodes %r listen but lie on no source's route" % stray)
+        errors.append("nodes %r contend or are addressed but lie on no "
+                      "source's route" % stray)
     return errors
 
 
@@ -152,7 +144,6 @@ def test_generated_scenario_invariants(i):
 def test_generated_cases_cover_the_hard_paths():
     runs = [case(i) for i in range(CASES)]
     assert any(sim.freezes for sim, _ in runs)
-    assert any(sim.busy_listens for sim, _ in runs)
     assert any(node.death_time is not None
                for _, result in runs for node in result.nodes)
     assert any(sim.cfg.frame_error_rate > 0 for sim, _ in runs)

@@ -1,9 +1,13 @@
 """MAC timing, backoff draws, collisions, retries and the exchange sequence."""
 
+import math
+
+import pytest
+
 from hcccsim.engine import RandomStream
 from hcccsim.mac import (MacTiming, airtime_us, draw_backoff, effective_window,
                          frame_error_probability, ACK, CTS, RTS, Frame)
-from hcccsim.simulation import Simulation
+from hcccsim.simulation import Simulation, run_scenario
 
 from conftest import (contention_topology, hidden_terminal_topology,
                       inject_packet, small_cfg, two_node_topology)
@@ -182,3 +186,28 @@ def test_frozen_countdown_keeps_its_partial_slot():
                   if row[1:3] == (a.id, RTS) and row[4] == "tx_start"]
     frame_end = frozen_at + t.ctrl_air
     assert rts_starts[0] == frame_end + t.difs + (k - 2) * t.slot
+
+
+@pytest.mark.parametrize("w", [1, 4, 16])
+def test_saturated_rate_matches_the_renewal_closed_form(w):
+    # One always-backlogged sender next to the sink: each packet is one
+    # renewal cycle of DIFS + jitter J + k slots + RTS + SIFS + CTS + SIFS
+    # + DATA + SIFS + ACK, with J uniform on [0, 999] us and k on
+    # [0, W - 1].  So E[cycle] = 4179.5 + 1000 (W - 1) / 2 us, and the
+    # rate is 239.26, 176.07 and 85.62 pps for W = 1, 4 and 16.
+    jitter, duration = 1000, 30.0
+    cfg = small_cfg(node_count=2, source_count=1, offered_load=1000.0,
+                    r_cap=1000.0, w_max=w, access_jitter_us=jitter,
+                    duration=duration, seed=1)
+    t = MacTiming(cfg)
+    mean = (t.difs + (jitter - 1) / 2 + t.slot * (w - 1) / 2
+            + t.ctrl_air + t.response_us)
+    var = (jitter ** 2 - 1) / 12 + t.slot ** 2 * (w * w - 1) / 12
+    # Renewal count over T us: mean T / mean, variance T var / mean^3.
+    # Allow four standard deviations, plus one packet at either end.
+    T = duration * 1e6
+    tolerance = (4 * math.sqrt(T * var / mean ** 3) + 2) / duration
+    result = run_scenario(cfg, topology=two_node_topology())
+    assert result.mac_drops == 0
+    rate = result.delivered / duration
+    assert abs(rate - 1e6 / mean) < tolerance, (rate, 1e6 / mean, tolerance)

@@ -6,7 +6,8 @@ For an RTS that node s starts at t0:
     and is still on the air at t0.  A frame starting in the same microsecond
     is not sensed (detection takes nonzero time);
   * response exchange: s sent no CTS at a time c with
-    c - SIFS <= t0 < c - SIFS + 3 SIFS + 2 ctrl_air + data_air.  The RTS that
+    c - SIFS <= t0 < c - SIFS + response_us, where response_us is
+    3 SIFS + 2 ctrl_air + data_air.  The RTS that
     s answered ended at c - SIFS, and from there s holds off its own access
     until the DATA it expects has been acknowledged.
 
@@ -52,7 +53,7 @@ def audit(sim):
                 if i >= 0 and ends[m][i] > tx.t0:
                     violations.append((tx.row, CARRIER_SENSE))
                     break
-    window = 3 * timing.sifs + 2 * timing.ctrl_air + timing.data_air
+    window = timing.response_us
     for cts in frames:
         if cts.kind != CTS:
             continue
@@ -120,7 +121,7 @@ def test_audit_flags_an_rts_placed_inside_its_senders_response_window():
             break
         last[tx.src] = tx
     lo = cts.t0 - timing.sifs
-    hi = lo + 3 * timing.sifs + 2 * timing.ctrl_air + timing.data_air
+    hi = lo + timing.response_us
     for t0, expected in ((lo, [(tx.row, RESPONSE_EXCHANGE)]),
                          (hi - 1, [(tx.row, RESPONSE_EXCHANGE)]),
                          (hi, [])):

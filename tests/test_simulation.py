@@ -120,7 +120,8 @@ def test_zero_offered_load():
 
 def test_node_streams_are_made_at_the_first_draw(monkeypatch):
     # Source 1 reaches the sink through relay 2.  Relay 3 hears only the
-    # sink, which listens as a frame destination but never contends.
+    # sink, which listens to the relay as its frame destination but never
+    # contends.
     topo = make_topology([(0.0, 0.0), (50.0, 0.0), (25.0, 0.0), (0.0, 25.0)],
                          ["sink", "source", "relay", "relay"])
     cfg = small_cfg(node_count=4, source_count=1, offered_load=5.0,
@@ -139,7 +140,8 @@ def test_node_streams_are_made_at_the_first_draw(monkeypatch):
     result = sim.run()
     sink, source, relay, idle = result.nodes
     assert result.delivered > 0 and relay.access_delay_n > 0
-    assert sink.listening and sink.stream is None and idle.stream is None
+    assert sink in sim.listeners[relay.id]
+    assert sink.stream is None and idle.stream is None
     assert sorted(drawn) == [source.id + 1, relay.id + 1]
     for node in (source, relay):
         assert node.stream.stream_id == node.id + 1
@@ -163,8 +165,8 @@ def test_only_carriers_listen_for_feedback():
     assert any(row[1] == 1 and row[2] == RTS and row[4] == "tx_start"
                for row in sim.mac_trace)
     idle = sim.nodes[3]
-    assert not idle.listening
-    assert not any(idle in listeners for listeners in sim.listeners)
+    assert not any(idle in listeners for listeners in sim.listeners
+                   if listeners is not None)
     assert idle.pending_feedback is None
     assert "feedback" in [row[6] for row in sim.hccc_trace if row[1] == 2]
 
