@@ -120,8 +120,7 @@ def test_zero_offered_load():
 
 def test_node_streams_are_made_at_the_first_draw(monkeypatch):
     # Source 1 reaches the sink through relay 2.  Relay 3 hears only the
-    # sink, which listens to the relay as its frame destination but never
-    # contends.
+    # sink, a carrier that listens to the relay but never contends.
     topo = make_topology([(0.0, 0.0), (50.0, 0.0), (25.0, 0.0), (0.0, 25.0)],
                          ["sink", "source", "relay", "relay"])
     cfg = small_cfg(node_count=4, source_count=1, offered_load=5.0,
@@ -169,6 +168,15 @@ def test_only_carriers_listen_for_feedback():
                    if listeners is not None)
     assert idle.pending_feedback is None
     assert "feedback" in [row[6] for row in sim.hccc_trace if row[1] == 2]
+
+
+def test_simulation_keeps_its_instance_dict_shared():
+    # See the Simulation docstring: a 30th instance attribute slows every
+    # self attribute load of the event handlers.
+    sim = Simulation(small_cfg(scheme="aimd_e2e", offered_load=5.0,
+                               duration=1.0))
+    sim.run()
+    assert len(vars(sim)) <= 29
 
 
 @pytest.mark.parametrize("scheme", ["hccc", "none", "aimd_e2e"])
