@@ -24,9 +24,13 @@ The output file holds, per workload and end-to-end metric, each side's
 median and quartiles over the pairs and the number of pairs the change
 won, plus every side's digests, ``correct`` flags, per-layer values and
 ``peak_rss_mb_cached`` reading, the commit ids, the Python version, the CPU
-count and ``PYTHONDONTWRITEBYTECODE``.  The script gates and bounds nothing:
-a digest or count that differs is recorded, and ``bench/run.py`` with
-``BENCHMARK.json`` keeps the bounds.
+count and ``PYTHONDONTWRITEBYTECODE``.  Two fields per workload say whether
+the sides did the same work: ``same_digest`` (each side has one digest, and
+they are equal) and ``counts_differ`` (the per-layer names whose values
+differ, leaving out host times in s and ``trace.overhead_frac``); both are
+printed at the end.  The script gates and bounds nothing: a digest or count
+that differs is recorded, and ``bench/run.py`` with ``BENCHMARK.json`` keeps
+the bounds.
 """
 
 import argparse
@@ -167,19 +171,38 @@ def measure(roots, workload, args, better):
     traced = {side: run_bench(roots[side], workload, args.seed, args.seconds, 1)
               for side in SIDES}
     cached = {side: cached_rss(roots[side], workload, args) for side in SIDES}
+    digests = {side: sorted({p[side]["digest"] for p in pairs}
+                            | {traced[side][1]}, key=str)
+               for side in SIDES}
     return {
         "end_to_end": summarize(pairs, better),
         "correct": {side: all(p[side]["correct"] for p in pairs)
                     and traced[side][0]["correct"] for side in SIDES},
-        "digests": {side: sorted({p[side]["digest"] for p in pairs}
-                                 | {traced[side][1]}, key=str)
-                    for side in SIDES},
+        "digests": digests,
+        "same_digest": (digests["base"] == digests["change"]
+                        and len(digests["base"]) == 1
+                        and digests["base"][0] is not None),
+        "counts_differ": counts_differ(*(traced[side][0]["metrics"]
+                                         for side in SIDES)),
         "per_layer": {side: {name: m["value"] for name, m
                              in traced[side][0]["metrics"].items()}
                       for side in SIDES},
         "peak_rss_mb_cached": cached,
         "pairs": pairs,
     }
+
+
+def counts_differ(base, change):
+    """Per-layer names whose values differ between two traced runs, leaving
+    out host times (unit s) and trace.overhead_frac, a ratio of host times."""
+    missing = {"value": None, "unit": None}
+    differ = []
+    for name in sorted(set(base) | set(change)):
+        b, c = base.get(name, missing), change.get(name, missing)
+        if (name != "trace.overhead_frac" and "s" not in (b["unit"], c["unit"])
+                and b["value"] != c["value"]):
+            differ.append(name)
+    return differ
 
 
 def main(argv=None):
@@ -252,6 +275,8 @@ def main(argv=None):
             w["peak_rss_mb_cached"]["change"]))
         print("%s correct: base %s, change %s" % (
             workload, w["correct"]["base"], w["correct"]["change"]))
+        print("%s same_digest: %s, counts_differ: %s" % (
+            workload, w["same_digest"], ", ".join(w["counts_differ"]) or "none"))
     return 0
 
 

@@ -39,7 +39,14 @@ def keyed_seed_mix(seed):
 
 def keyed_draw(seed_mix, receiver, frame):
     """keyed_random(seed, receiver, frame) with seed_mix = keyed_seed_mix(seed)."""
-    return _splitmix64(_splitmix64(seed_mix ^ frame) ^ receiver) / 18446744073709551616.0
+    # The two _splitmix64 rounds, written out: this runs once per clean receiver.
+    z = ((seed_mix ^ frame) + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 31) ^ receiver) + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) / 18446744073709551616.0
 
 
 class RandomStream:
@@ -72,14 +79,18 @@ class RandomStream:
             raise SchedulingError("uniform_int: lo=%r > hi=%r" % (lo, hi))
         u = self.next_u64()
         if u > 0xFFFFFFFFFFFFFFFF - n:
-            # Only a draw this near 2**64 can lie past the last multiple of n.
-            if n > 1 << 64:
-                raise SchedulingError(
-                    "uniform_int: more than 2**64 values in [%r, %r]" % (lo, hi))
-            limit = (1 << 64) - ((1 << 64) % n)
-            while u >= limit:
-                u = self.next_u64()
+            u = self.redraw(u, n)
         return lo + (u % n)
+
+    def redraw(self, u, n):
+        """u, or the first later draw, below the last multiple of n under 2**64:
+        the rejection tail of a draw for n values, needed only if u > 2**64 - 1 - n."""
+        if n > 1 << 64:
+            raise SchedulingError("uniform_int: more than 2**64 values (%d)" % n)
+        limit = (1 << 64) - ((1 << 64) % n)
+        while u >= limit:
+            u = self.next_u64()
+        return u
 
     def random(self):
         """Uniform float in [0, 1)."""
@@ -108,7 +119,10 @@ class Engine:
         heappush(self._queue, (time, seq, fn, args))
 
     def run_until(self, limit):
-        """Process every event with time <= limit; returns the number processed."""
+        """Process every event with time <= limit, then set the clock to limit
+        (never back); returns the number processed."""
+        if limit < self.now:
+            raise SchedulingError("run_until(%d) before clock t=%d" % (limit, self.now))
         q = self._queue
         # An event pending now or scheduled during the call ends dispatched or pending.
         uncounted = self._seq - len(q)

@@ -283,10 +283,6 @@ class Simulation:
 
     # ---- channel --------------------------------------------------------
 
-    def _sensed_busy(self, node, now):
-        return node.tx_end > now or (node.busy_until > now
-                                     and node.busy_since < now)
-
     def _start_tx(self, node, frame):
         now = self.engine.now
         if frame.kind == DATA:
@@ -339,8 +335,10 @@ class Simulation:
 
     def _tx_end(self, node, frame):
         dst = self.nodes[frame.dst]
-        fer = self.timing.error_rate(frame.kind)
-        received = self._decoded(dst, frame, fer)
+        fer = self.timing.data_fer if frame.kind == DATA else self.timing.ctrl_fer
+        # _decoded(dst, frame, fer), written out: one call fewer per frame.
+        received = (dst.alive and (dst.rx_frame is frame or dst.rx_prev is frame)
+                    and not (fer and keyed_draw(self.seed_mix, dst.id, frame.serial) < fer))
         if frame.feedback is not None:
             for n in self.children.get(node.id, ()):
                 if self._decoded(n, frame, fer):
@@ -371,8 +369,12 @@ class Simulation:
     def _defer(self, node, base):
         """Wake one DIFS plus the access jitter after base."""
         jmax = self.jitter_max
-        if jmax > 0:
-            base += node.stream.uniform_int(0, jmax - 1)
+        if jmax > 1:
+            # uniform_int(0, jmax - 1), written out; jmax 1 draws nothing.
+            u = node.stream.next_u64()
+            if u > 0xFFFFFFFFFFFFFFFF - jmax:
+                u = node.stream.redraw(u, jmax)
+            base += u % jmax
         node.epoch += 1
         self.engine.schedule(base + self.difs, self._backoff_wake, node, node.epoch)
 
@@ -390,9 +392,9 @@ class Simulation:
         if node.wake_time:
             # The countdown ran out.
             node.wake_time = node.remaining = 0
-        busy_until = node.busy_until
-        if self._sensed_busy(node, now):
-            tx_end = node.tx_end
+        busy_until, tx_end = node.busy_until, node.tx_end
+        # Carrier sense: on air, or a reception that began before now.
+        if tx_end > now or (busy_until > now and node.busy_since < now):
             base = busy_until if busy_until > tx_end else tx_end
         elif now < node.responding_until:
             base = node.responding_until

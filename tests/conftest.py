@@ -1,5 +1,8 @@
 """Shared fixture builders for the test suite."""
 
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 from hcccsim.config import ScenarioConfig, validate
 from hcccsim.topology import NodeSpec, Topology, build_adjacency, compute_routes
 from hcccsim.traffic import IN_FLIGHT, OUTCOME_CODE, joules_to_nj
@@ -50,6 +53,17 @@ def inject_packet(sim, node):
     pkt = sim._new_packet(node)
     sim._admit(node, pkt)
     return pkt
+
+
+def map_runs(worker, configs):
+    """[worker(cfg) for cfg in configs], run on at most four worker
+    processes, and serially on one CPU.  worker must be a module-level
+    function, and it and its results must pickle."""
+    workers = min(os.cpu_count() or 1, 4)
+    if workers <= 1:
+        return [worker(cfg) for cfg in configs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, configs))
 
 
 def invariant_errors(result):

@@ -17,7 +17,7 @@ from hcccsim.engine import RandomStream
 from hcccsim.simulation import Simulation, run_scenario
 from hcccsim.traffic import DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED, IN_FLIGHT
 
-from conftest import contention_topology
+from conftest import contention_topology, map_runs
 
 P = ScenarioConfig()
 
@@ -149,16 +149,22 @@ def test_acceptance_4_forwarding_rate_falls_with_own_window():
 
 # ---- 5. comparative overload --------------------------------------------
 
+def run_report(cfg):
+    """The metrics report of one run: the worker the pooled checks map."""
+    return metrics.build_report(run_scenario(cfg))
+
+
 def test_acceptance_5_overload_comparison():
     start = time.time()
     loss_wins = 0
     eff_wins = 0
-    for seed in SEEDS:
-        reports = {}
-        for scheme in ("hccc", "none"):
-            cfg = validate(ScenarioConfig(scheme=scheme, seed=seed,
-                                          offered_load=15.0, duration=300.0))
-            reports[scheme] = metrics.build_report(run_scenario(cfg))
+    schemes = ("hccc", "none")
+    configs = [validate(ScenarioConfig(scheme=scheme, seed=seed,
+                                       offered_load=15.0, duration=300.0))
+               for seed in SEEDS for scheme in schemes]
+    runs = iter(map_runs(run_report, configs))
+    for _ in SEEDS:
+        reports = {scheme: next(runs) for scheme in schemes}
         if reports["hccc"].packet_loss_ratio < reports["none"].packet_loss_ratio:
             loss_wins += 1
         if reports["hccc"].energy_efficiency >= reports["none"].energy_efficiency:
@@ -179,12 +185,13 @@ def test_acceptance_6_rate_stability():
     # extended to 400 s with the variation window starting at 300 s.
     wins = 0
     covs = []
-    for seed in SEEDS:
-        cov = {}
-        for scheme in ("hccc", "aimd_e2e"):
-            cfg = validate(ScenarioConfig(scheme=scheme, seed=seed,
-                                          duration=400.0, warmup=300.0))
-            cov[scheme] = metrics.build_report(run_scenario(cfg)).source_rate_cov
+    schemes = ("hccc", "aimd_e2e")
+    configs = [validate(ScenarioConfig(scheme=scheme, seed=seed,
+                                       duration=400.0, warmup=300.0))
+               for seed in SEEDS for scheme in schemes]
+    runs = iter(map_runs(run_report, configs))
+    for _ in SEEDS:
+        cov = {scheme: next(runs).source_rate_cov for scheme in schemes}
         covs.append(cov)
         if cov["hccc"] <= cov["aimd_e2e"]:
             wins += 1

@@ -54,6 +54,18 @@ def test_schedule_into_past_is_fatal():
         eng.schedule(5, lambda: None)
 
 
+def test_run_until_before_the_clock_is_fatal():
+    # The clock never goes back: an event scheduled after such a call would
+    # be dispatched before a time the clock had already passed.
+    eng = Engine()
+    eng.run_until(20)
+    with pytest.raises(SchedulingError):
+        eng.run_until(5)
+    assert eng.now == 20
+    eng.schedule(20, lambda: None)
+    assert eng.run_until(20) == 1
+
+
 def test_run_until_empty_queue_advances_clock():
     eng = Engine()
     assert eng.run_until(100_000_000) == 0
@@ -178,6 +190,17 @@ def test_random_stays_below_one_at_the_top_draws(monkeypatch):
     assert math.isfinite(-math.log(1.0 - s.random()))
     monkeypatch.setattr(RandomStream, "next_u64", lambda self: 2 ** 64 - 1025)
     assert s.random() == (2 ** 64 - 1025) / 18446744073709551616.0
+
+
+def test_redraw_keeps_a_tail_draw_below_the_last_multiple(monkeypatch):
+    # 2**64 % 1000 == 616: of the draws within 1000 of 2**64, those from
+    # 2**64 - 616 up are redrawn, the ones below are kept.
+    s = RandomStream(5)
+    assert s.redraw(2 ** 64 - 617, 1000) == 2 ** 64 - 617
+    following = RandomStream(5).next_u64()
+    assert s.redraw(2 ** 64 - 616, 1000) == following
+    monkeypatch.setattr(RandomStream, "next_u64", lambda self: 2 ** 64 - 700)
+    assert s.uniform_int(0, 999) == (2 ** 64 - 700) % 1000
 
 
 def test_keyed_random_is_a_pure_function_of_its_key():

@@ -7,7 +7,7 @@ import pytest
 from hcccsim.engine import RandomStream
 from hcccsim.mac import (MacTiming, airtime_us, draw_backoff, effective_window,
                          frame_error_probability, ACK, CTS, RTS, Frame)
-from hcccsim.simulation import Simulation, run_scenario
+from hcccsim.simulation import AWAIT_CTS, BACKOFF, Simulation, run_scenario
 
 from conftest import (contention_topology, hidden_terminal_topology,
                       inject_packet, small_cfg, two_node_topology)
@@ -146,16 +146,61 @@ def test_dead_receiver_gives_cts_timeouts():
 
 
 def test_carrier_sense_boundary():
-    # 20-byte control frames at 16 Mbps: node 0 is on air over [0, 10) us
-    cfg = small_cfg(bit_rate=16_000_000.0)
+    # 20-byte control frames at 16 Mbps: node 0 is on air over [0, 10) us.
+    # Node 1 has a packet and a countdown that has run out; its wake-up
+    # sends the RTS unless it senses the medium busy.
+    for now, senses in ((5, True),
+                        (10, False),  # the frame ended this very microsecond
+                        (0, False)):  # starting now: not yet detectable
+        cfg = small_cfg(bit_rate=16_000_000.0)
+        sim = Simulation(cfg, topology=two_node_topology())
+        node = sim.nodes[1]
+        sim._start_tx(sim.nodes[0], Frame(CTS, 0, 1))
+        node.cc.buffer.append(sim._new_packet(node))
+        node.phase = BACKOFF
+        node.remaining = 0
+        sim.engine.now = now
+        sim._backoff_wake(node, node.epoch)
+        assert node.phase == (BACKOFF if senses else AWAIT_CTS), now
+        assert sim.ctrl_attempts == (1 if senses else 2), now
+        if senses:
+            # Deferred to one DIFS after the frame's end.
+            assert (10 + sim.difs, node.epoch) in [
+                (t, args[1]) for t, _, fn, args in sim.engine._queue
+                if fn == sim._backoff_wake]
+
+
+@pytest.mark.parametrize("jitter", [0, 1, 1000])
+@pytest.mark.parametrize("top_first", [False, True])
+def test_defer_draws_the_jitter_as_uniform_int(monkeypatch, jitter, top_first):
+    # Each deferral waits DIFS plus uniform_int(0, jitter - 1) after its
+    # base, from the node's stream and nothing else: a jitter of 1 or 0
+    # draws nothing.  With top_first the stream's first value is the top
+    # one, 2**64 - 1, past the last multiple of any jitter: it is redrawn.
+    cfg = small_cfg(node_count=2, source_count=1, access_jitter_us=jitter)
     sim = Simulation(cfg, topology=two_node_topology())
-    sim._start_tx(sim.nodes[0], Frame(CTS, 0, 1))
-    sim.engine.now = 5
-    assert sim._sensed_busy(sim.nodes[1], sim.engine.now)
-    sim.engine.now = 10   # transmission finished this very microsecond
-    assert not sim._sensed_busy(sim.nodes[1], sim.engine.now)
-    sim.engine.now = 0    # starting this very microsecond: not yet detectable
-    assert not sim._sensed_busy(sim.nodes[1], sim.engine.now)
+    node = sim.nodes[1]
+    node.stream = RandomStream(cfg.seed, node.id + 1)
+    ref = RandomStream(cfg.seed, node.id + 1)
+    forced = {id(node.stream), id(ref)} if top_first else set()
+    orig = RandomStream.next_u64
+
+    def next_u64(stream):
+        if id(stream) in forced:
+            forced.discard(id(stream))
+            return 2 ** 64 - 1
+        return orig(stream)
+    monkeypatch.setattr(RandomStream, "next_u64", next_u64)
+    for base in range(100, 5100, 100):
+        sim._defer(node, base)
+        (at, _, fn, args), = sim.engine._queue
+        sim.engine.clear()
+        jitter_us = ref.uniform_int(0, jitter - 1) if jitter else 0
+        assert (at, fn, args) == (base + jitter_us + sim.difs,
+                                  sim._backoff_wake, (node, node.epoch))
+        assert node.stream._state == ref._state
+    # The forced top value is taken only where a draw is made.
+    assert len(forced) == (2 if top_first and jitter <= 1 else 0)
 
 
 def test_no_transmission_into_sensed_busy_medium():
