@@ -24,7 +24,9 @@ The output file holds, per workload and end-to-end metric, each side's
 median and quartiles over the pairs and the number of pairs the change
 won, plus every side's digests, ``correct`` flags, per-layer values and
 ``peak_rss_mb_cached`` reading, the commit ids, the Python version, the CPU
-count and ``PYTHONDONTWRITEBYTECODE``.  Two fields per workload say whether
+count and ``PYTHONDONTWRITEBYTECODE``, and each side's ``src_code_lines``:
+the lines of ``src/hcccsim/*.py`` that hold code, leaving out docstrings,
+comments and blank lines.  Two fields per workload say whether
 the sides did the same work: ``same_digest`` (each side has one digest, and
 they are equal) and ``counts_differ`` (the per-layer names whose values
 differ, leaving out host times in s and ``trace.overhead_frac``); both are
@@ -34,7 +36,10 @@ the bounds.
 """
 
 import argparse
+import ast
 import datetime
+import glob
+import io
 import json
 import os
 import platform
@@ -46,6 +51,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "change")
@@ -54,6 +60,35 @@ SIDES = ("base", "change")
 def git(*args):
     return subprocess.run(["git", "-C", ROOT, *args], check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+# Tokens that hold no code: a line made only of these is blank or a comment.
+NO_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def src_code_lines(root):
+    """Lines of ``src/hcccsim/*.py`` under root that hold a code token and
+    are no part of a module, class or function docstring."""
+    total = 0
+    for path in sorted(glob.glob(os.path.join(root, "src", "hcccsim", "*.py"))):
+        with open(path, "rb") as f:
+            source = f.read()
+        docstrings = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) and node.body:
+                first = node.body[0]
+                if (isinstance(first, ast.Expr)
+                        and isinstance(first.value, ast.Constant)
+                        and isinstance(first.value.value, str)):
+                    docstrings.update(range(first.lineno, first.end_lineno + 1))
+        code = set()
+        for tok in tokenize.tokenize(io.BytesIO(source).readline):
+            if tok.type not in NO_CODE:
+                code.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(code - docstrings)
+    return total
 
 
 def sibling_path():
@@ -256,6 +291,8 @@ def main(argv=None):
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", path], input=archive, check=True)
         roots = {"base": path, "change": ROOT}
+        for side in SIDES:
+            record[side]["src_code_lines"] = src_code_lines(roots[side])
         for workload in workloads:
             record["workloads"][workload] = measure(roots, workload, args, better)
     finally:
@@ -263,6 +300,8 @@ def main(argv=None):
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1, sort_keys=True)
         f.write("\n")
+    print("src_code_lines: base %d, change %d" % (
+        record["base"]["src_code_lines"], record["change"]["src_code_lines"]))
     for workload, w in record["workloads"].items():
         for name, m in w["end_to_end"].items():
             print("%s %s: base %.6g [%.6g, %.6g], change %.6g [%.6g, %.6g], "

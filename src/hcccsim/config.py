@@ -219,7 +219,8 @@ def dump_config(cfg):
             if isinstance(value, bool):
                 text = "true" if value else "false"
             elif isinstance(value, float):
-                text = "%.10g" % value
+                # The shortest text that parses back to the same float.
+                text = repr(value)
             else:
                 text = str(value)
             lines.append("%s = %s" % (key, text))

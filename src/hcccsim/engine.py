@@ -52,12 +52,11 @@ def keyed_draw(seed_mix, receiver, frame):
 class RandomStream:
     """One independent deterministic random sequence per (seed, stream_id)."""
 
-    __slots__ = ("seed", "stream_id", "_state")
+    __slots__ = ("stream_id", "_state")
 
     def __init__(self, seed, stream_id=0):
-        self.seed = seed & _MASK64
         self.stream_id = stream_id
-        state = _splitmix64(_splitmix64(self.seed) ^ _splitmix64((stream_id + 1) * _GOLDEN))
+        state = _splitmix64(_splitmix64(seed & _MASK64) ^ _splitmix64((stream_id + 1) * _GOLDEN))
         if state == 0:
             state = _GOLDEN
         self._state = state

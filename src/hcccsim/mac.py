@@ -65,12 +65,6 @@ class MacTiming:
         self.data_fer = frame_error_probability(cfg.frame_error_rate,
                                                 cfg.bit_error_rate, cfg.packet_size)
 
-    def airtime(self, kind):
-        return self.data_air if kind == DATA else self.ctrl_air
-
-    def error_rate(self, kind):
-        return self.data_fer if kind == DATA else self.ctrl_fer
-
 
 def effective_window(w):
     """Integer window used for a draw: round half up, never below 1."""

@@ -110,7 +110,7 @@ class Node:
         "phase", "remaining", "wake_time",     # wake_time 0: no countdown
         "epoch", "retries", "access_pending", "access_started_at",
         "next_access_time",
-        "tx_start", "tx_end",
+        "tx_end",
         "busy_until", "busy_since", "rx_frame", "rx_prev",
         "responding_until",
         "pending_feedback", "gen_seq",
@@ -138,7 +138,6 @@ class Node:
         self.access_pending = False
         self.access_started_at = 0
         self.next_access_time = 0
-        self.tx_start = 0
         self.tx_end = 0
         self.busy_until = 0
         self.busy_since = 0
@@ -308,7 +307,6 @@ class Simulation:
                 nodes[i] for i in self.topology.adjacency[node.id]
                 if carrier[i] and nodes[i].alive]
         dst = self.nodes[frame.dst]
-        node.tx_start = now
         node.tx_end = end
         frame.heard = dst.alive
         frame.serial = self.data_attempts + self.ctrl_attempts

@@ -131,8 +131,8 @@ def build_adjacency(nodes, radius):
     return adjacency
 
 
-def compute_routes(adjacency, sink=0):
-    """BFS hop counts toward the sink; next hop is the lowest-id neighbor one hop closer.
+def compute_routes(adjacency):
+    """BFS hop counts toward the sink, node 0; next hop is the lowest-id neighbor one hop closer.
 
     Each hop level is visited in ascending id, so the first node of level h
     to reach a node of level h + 1 is its lowest-id neighbor at level h.
@@ -141,8 +141,8 @@ def compute_routes(adjacency, sink=0):
     n = len(adjacency)
     hop_count = [None] * n
     next_hop = [None] * n
-    hop_count[sink] = 0
-    level, hops = [sink], 0
+    hop_count[0] = 0
+    level, hops = [0], 0
     while level:
         hops += 1
         found = []
@@ -161,7 +161,7 @@ def build_topology(config, stream):
     """Topology per a scenario config; honours the disconnected-source policy."""
     nodes = place_random(config.node_count, config.area_side, config.source_count, stream)
     adjacency = build_adjacency(nodes, config.radius)
-    next_hop, hop_count = compute_routes(adjacency, 0)
+    next_hop, hop_count = compute_routes(adjacency)
     topo = Topology(nodes, adjacency, next_hop, hop_count)
     if config.disconnected == "fail":
         bad = [s.id for s in nodes if s.role == "source" and hop_count[s.id] is None]

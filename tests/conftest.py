@@ -12,7 +12,7 @@ def make_topology(positions, roles, radius=30.0):
     """Hand-built topology; node 0 must be the sink."""
     nodes = [NodeSpec(i, x, y, roles[i]) for i, (x, y) in enumerate(positions)]
     adjacency = build_adjacency(nodes, radius)
-    next_hop, hop_count = compute_routes(adjacency, 0)
+    next_hop, hop_count = compute_routes(adjacency)
     return Topology(nodes, adjacency, next_hop, hop_count)
 
 

@@ -9,6 +9,8 @@ A dead destination at the start gives ``no_receiver``, one that died on the
 air ``dead_receiver``, a frame that is not clean ``collided``.  A clean frame
 is ``corrupted`` if and only if the frame-error draw keyed by (run seed,
 destination, attempt number) falls below the frame's error rate, else ``ok``.
+A DATA frame has the DATA airtime and error rate, any other frame the
+control frame's.
 The attempt number counts the run's frames from 1 in start order.
 
 Instants are ordered by the trace itself: rows are appended in the order the
@@ -25,7 +27,7 @@ import pytest
 
 from hcccsim.config import ScenarioConfig, validate
 from hcccsim.engine import keyed_random
-from hcccsim.mac import MacTiming
+from hcccsim.mac import DATA, MacTiming
 from hcccsim.simulation import Simulation
 
 from test_golden import SCENARIOS, golden_run
@@ -48,8 +50,8 @@ def transmissions(trace, timing):
     on_air = {}
     for row, (t, src, kind, dst, event) in enumerate(trace):
         if event == "tx_start":
-            tx = Tx(len(frames) + 1, row, t, t + timing.airtime(kind), src,
-                    kind, dst)
+            airtime = timing.data_air if kind == DATA else timing.ctrl_air
+            tx = Tx(len(frames) + 1, row, t, t + airtime, src, kind, dst)
             frames.append(tx)
             on_air.setdefault(src, deque()).append(tx)
         else:
@@ -106,8 +108,8 @@ def audit(sim):
             predicted = "dead_receiver"
         elif transmitting(d, tx) or overlapped(d, tx):
             predicted = "collided"
-        elif (keyed_random(sim.cfg.seed, d, tx.serial)
-              < timing.error_rate(tx.kind)):
+        elif keyed_random(sim.cfg.seed, d, tx.serial) < (
+                timing.data_fer if tx.kind == DATA else timing.ctrl_fer):
             predicted = "corrupted"
         else:
             predicted = "ok"

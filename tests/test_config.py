@@ -40,6 +40,13 @@ def test_round_trip():
                                   scheme="aimd_e2e", trace_hccc=True))
     again = parse_config_text(dump_config(cfg))
     assert asdict(again) == asdict(cfg)
+    # Floats that ten significant digits do not tell from a neighbour.
+    for key, value in (("offered_load", 1 / 3), ("area_side", 100.00000000001),
+                       ("p", 0.1 + 0.2)):
+        cfg = validate(ScenarioConfig(**{key: value}))
+        again = parse_config_text(dump_config(cfg))
+        assert getattr(again, key) == value, key
+        assert asdict(again) == asdict(cfg)
 
 
 def test_occupancy_threshold_range_error_names_field():

@@ -184,7 +184,7 @@ def test_routes_tie_break_after_a_level_found_out_of_id_order():
     # [5, 3].  Node 4 neighbours both 3 and 5 and must route through 3: a
     # search that visited hop 2 in the order found would pick 5.
     adjacency = [[1, 2], [0, 5], [0, 3], [2, 4], [3, 5], [1, 4]]
-    next_hop, hop_count = compute_routes(adjacency, 0)
+    next_hop, hop_count = compute_routes(adjacency)
     assert hop_count == [0, 1, 1, 2, 3, 2]
     assert next_hop == [None, 0, 0, 2, 3, 1]
 
@@ -192,7 +192,7 @@ def test_routes_tie_break_after_a_level_found_out_of_id_order():
 def test_routes_against_independent_bfs():
     nodes = place_random(100, 100.0, 20, RandomStream(11, 0))
     adj = build_adjacency(nodes, 30.0)
-    next_hop, hop_count = compute_routes(adj, 0)
+    next_hop, hop_count = compute_routes(adj)
     g = nx.Graph()
     g.add_nodes_from(range(100))
     for i, neigh in enumerate(adj):
