@@ -262,19 +262,22 @@ def test_saturated_rate_matches_the_renewal_closed_form(w):
 @pytest.mark.parametrize("w", [1, 16])
 @pytest.mark.parametrize("hops", range(3, 9))
 def test_chain_never_beats_its_data_exclusion_bound(hops, w):
-    # Nodes 25 m apart on a line with radius 30, so only neighbours hear
-    # each other; node `hops` is the only source.  The successful DATA
-    # frames of the three links nearest the sink, 1->0, 2->1 and 3->2,
-    # never overlap in time:
-    # - 2->1 and 1->0 share node 1, and 3->2 and 2->1 share node 2, which
-    #   would have to receive DATA in an exchange it answered while it sends
-    #   DATA in one it opened.  A node answers an RTS only while idle or in
-    #   backoff, and sends no RTS of its own until its answer's ACK is over.
-    # - 3->2 and 1->0: node 1 is in range of node 2, and two overlapping
-    #   frames in range of a receiver are both lost there.
-    # Each delivered packet crossed all three links, on a DATA frame of its
-    # own of 1,600 us, so a run of T us delivers at most T / (3 x 1,600 us):
-    # 208.3 pps, whatever W, the jitter or the chain's length.
+    """Nodes 25 m apart on a line with radius 30, so only neighbours hear
+    each other; node `hops` is the only source.  The successful DATA frames
+    of the three links nearest the sink, 1->0, 2->1 and 3->2, never overlap
+    in time:
+
+    - 2->1 and 1->0 share node 1, and 3->2 and 2->1 share node 2, which
+      would have to receive DATA in an exchange it answered while it sends
+      DATA in one it opened.  A node answers an RTS only while idle or in
+      backoff, and sends no RTS of its own until its answer's ACK is over.
+    - 3->2 and 1->0: node 1 is in range of node 2, and two overlapping
+      frames in range of a receiver are both lost there.
+
+    Each delivered packet crossed all three links, on a DATA frame of its
+    own of 1,600 us, so a run of T us delivers at most T / (3 x 1,600 us):
+    208.3 pps, whatever W, the jitter or the chain's length.
+    """
     duration = 30.0
     cfg = small_cfg(node_count=hops + 1, source_count=1, offered_load=1000.0,
                     r_cap=1000.0, w_max=w, access_jitter_us=1000,
