@@ -10,9 +10,10 @@ path exactly as long as the working tree's: the path length moves
 alternates from pair to pair, so a drift of the machine's speed during the
 run does not favour one side.  Then it runs ``bench/run.py --trace 1`` once
 per side for the per-layer counts and self times.  Last, it reads
-``peak_rss_mb`` once more per side with bytecode cached: a 1 s warm-up run
-and one measured ``--trace 0`` run, with ``PYTHONDONTWRITEBYTECODE`` unset
-and ``PYTHONPYCACHEPREFIX`` set to a temporary directory of that side's, so
+``peak_rss_mb`` with bytecode cached: a 1 s warm-up run per side, then
+``CACHED_RUNS`` measured ``--trace 0`` runs per side, the sides alternating
+as in the pairs, with ``PYTHONDONTWRITEBYTECODE`` unset and
+``PYTHONPYCACHEPREFIX`` set to a temporary directory of that side's, so
 the reading does not move with the length of the source text and no
 bytecode is written into either checkout.  Each side runs its own
 ``bench/`` and ``src/``.  The base copy is removed at the end, also when
@@ -23,7 +24,7 @@ its own process group, and a stopped script kills that group, with the
 The output file holds, per workload and end-to-end metric, each side's
 median and quartiles over the pairs and the number of pairs the change
 won, plus every side's digests, ``correct`` flags, per-layer values and
-``peak_rss_mb_cached`` reading, the commit ids, the Python version, the CPU
+``peak_rss_mb_cached`` median and quartiles, the commit ids, the Python version, the CPU
 count and ``PYTHONDONTWRITEBYTECODE``, and each side's ``src_code_lines``:
 the lines of ``src/hcccsim/*.py`` that hold code, leaving out docstrings,
 comments and blank lines.  Two fields per workload say whether
@@ -55,6 +56,7 @@ import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "change")
+CACHED_RUNS = 3     # measured runs per side with bytecode cached
 
 
 def git(*args):
@@ -176,16 +178,24 @@ def summarize(pairs, better):
     return out
 
 
-def cached_rss(root, workload, args):
-    """``peak_rss_mb`` of one run after a warm-up has cached the bytecode
-    in a temporary directory."""
-    env = dict(os.environ)
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
+def cached_rss(roots, workload, args):
+    """Per side, the spread of ``peak_rss_mb`` over CACHED_RUNS runs after
+    a warm-up has cached the side's bytecode in a temporary directory."""
+    envs = {}
+    readings = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="bench_pair_pyc_") as prefix:
-        env["PYTHONPYCACHEPREFIX"] = prefix
-        run_bench(root, workload, args.seed, 1, 0, env)
-        result, _ = run_bench(root, workload, args.seed, args.seconds, 0, env)
-    return result["metrics"]["peak_rss_mb"]["value"]
+        for i, side in enumerate(SIDES):
+            env = envs[side] = dict(os.environ)
+            env.pop("PYTHONDONTWRITEBYTECODE", None)
+            # Equal-length names: the prefix is part of every cached path.
+            env["PYTHONPYCACHEPREFIX"] = os.path.join(prefix, str(i))
+            run_bench(roots[side], workload, args.seed, 1, 0, env)
+        for i in range(CACHED_RUNS):
+            for side in (SIDES[i % 2], SIDES[1 - i % 2]):
+                result, _ = run_bench(roots[side], workload, args.seed,
+                                      args.seconds, 0, envs[side])
+                readings[side].append(result["metrics"]["peak_rss_mb"]["value"])
+    return {side: spread(readings[side]) for side in SIDES}
 
 
 def measure(roots, workload, args, better):
@@ -205,7 +215,7 @@ def measure(roots, workload, args, better):
               file=sys.stderr)
     traced = {side: run_bench(roots[side], workload, args.seed, args.seconds, 1)
               for side in SIDES}
-    cached = {side: cached_rss(roots[side], workload, args) for side in SIDES}
+    cached = cached_rss(roots, workload, args)
     digests = {side: sorted({p[side]["digest"] for p in pairs}
                             | {traced[side][1]}, key=str)
                for side in SIDES}
@@ -309,9 +319,10 @@ def main(argv=None):
                       workload, name, m["base"]["median"], m["base"]["q1"],
                       m["base"]["q3"], m["change"]["median"], m["change"]["q1"],
                       m["change"]["q3"], m["change_won"], m["pairs"]))
-        print("%s peak_rss_mb_cached: base %.6g, change %.6g" % (
-            workload, w["peak_rss_mb_cached"]["base"],
-            w["peak_rss_mb_cached"]["change"]))
+        cached = w["peak_rss_mb_cached"]
+        print("%s peak_rss_mb_cached: base %.6g [%.6g, %.6g], change %.6g "
+              "[%.6g, %.6g]" % (workload, *(cached[side][key] for side in SIDES
+                                            for key in ("median", "q1", "q3"))))
         print("%s correct: base %s, change %s" % (
             workload, w["correct"]["base"], w["correct"]["change"]))
         print("%s same_digest: %s, counts_differ: %s" % (

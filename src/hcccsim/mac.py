@@ -15,7 +15,7 @@ class Frame:
     """One transmission.  Its airtime follows from ``kind``; ``data_id`` is
     the packet the exchange is about, its PacketLog row number."""
 
-    __slots__ = ("kind", "src", "dst", "feedback", "data_id", "heard", "serial")
+    __slots__ = ("kind", "src", "dst", "feedback", "data_id", "serial")
 
     def __init__(self, kind, src, dst, feedback=None, data_id=None):
         self.kind = kind
@@ -24,7 +24,6 @@ class Frame:
         # An HCCC RTS carries a buffer occupancy ratio, congested above b_max.
         self.feedback = feedback
         self.data_id = data_id
-        self.heard = False  # destination alive when the transmission started
         self.serial = 0  # the run's attempt number, set when it starts
 
 

@@ -44,6 +44,17 @@ response exchange, or the end of a frame that started at that same instant.
 The DIFS-after-busy rule is also what protects SIFS-separated frames of an
 ongoing exchange from being trampled by waiting contenders.
 
+Two fields hold a node's MAC state.  ``phase`` says what the node is doing:
+IDLE → PENDING (an ``_access_begin`` is queued) → BACKOFF → AWAIT_CTS (its
+RTS is out) → SENDING (its DATA is due one SIFS after the CTS) → AWAIT_ACK,
+then IDLE, or BACKOFF again for a retry.  ``epoch`` says which of its queued
+wake-ups and timeouts are live: each carries the epoch it was queued with
+and is stale once the epoch has moved.  Every exit from BACKOFF, AWAIT_CTS
+and AWAIT_ACK bumps the epoch in the handler that makes it, so a live event
+finds its node in the phase it was queued for; PENDING and SENDING each
+have exactly one event queued, and only that event leaves them.  A death
+changes neither field, so the handlers that act for a node test ``alive``.
+
 A node's random stream, ``RandomStream(seed, id + 1)``, is made at its first
 draw: a source's in ``run()``, any other node's when it first enters
 backoff.  Its values depend only on the seed and the id, so when it is made
@@ -94,21 +105,22 @@ def _clean(node, frame):
     return node.rx_frame is frame or node.rx_prev is frame
 
 
-# MAC phases
+# MAC phases, in the order an exchange passes through them
 IDLE = 0
-BACKOFF = 1
-AWAIT_CTS = 2
-SENDING = 3
-AWAIT_ACK = 4
+PENDING = 1     # an _access_begin is queued
+BACKOFF = 2
+AWAIT_CTS = 3
+SENDING = 4
+AWAIT_ACK = 5
 
 
 class Node:
     __slots__ = (
         "id", "role", "next_hop",
-        "stream", "energy_nj", "alive", "death_time",
+        "stream", "energy_nj", "alive", "death_time", "death_serial",
         "cc", "w", "aimd",
         "phase", "remaining", "wake_time",     # wake_time 0: no countdown
-        "epoch", "retries", "access_pending", "access_started_at",
+        "epoch", "retries", "access_started_at",
         "next_access_time",
         "tx_end",
         "busy_until", "busy_since", "rx_frame", "rx_prev",
@@ -127,6 +139,7 @@ class Node:
         self.energy_nj = energy_nj
         self.alive = True
         self.death_time = None
+        self.death_serial = 0   # the attempt number of the frame it died on
         self.cc = cc
         self.w = w
         self.aimd = None
@@ -135,7 +148,6 @@ class Node:
         self.wake_time = 0
         self.epoch = 0
         self.retries = 0
-        self.access_pending = False
         self.access_started_at = 0
         self.next_access_time = 0
         self.tx_end = 0
@@ -294,9 +306,10 @@ class Simulation:
             self.ctrl_attempts += 1
         if cost:
             node.energy_nj -= cost
-            if node.alive and node.energy_nj < self.data_nj:
+            if node.energy_nj < self.data_nj:
                 node.alive = False
                 node.death_time = now
+                node.death_serial = self.data_attempts + self.ctrl_attempts
                 for j in self.topology.adjacency[node.id]:
                     if self.listeners[j] is not None:
                         self.listeners[j].remove(node)
@@ -306,9 +319,7 @@ class Simulation:
             listeners = self.listeners[node.id] = [
                 nodes[i] for i in self.topology.adjacency[node.id]
                 if carrier[i] and nodes[i].alive]
-        dst = self.nodes[frame.dst]
         node.tx_end = end
-        frame.heard = dst.alive
         frame.serial = self.data_attempts + self.ctrl_attempts
         if node.wake_time > now:
             self._freeze(node, now)
@@ -346,10 +357,10 @@ class Simulation:
         if self.trace_mac:
             if received:
                 outcome = "ok"
-            elif not frame.heard:
-                outcome = "no_receiver"
             elif not dst.alive:
-                outcome = "dead_receiver"
+                # Dead before the frame started, or while it was on the air.
+                outcome = ("no_receiver" if dst.death_serial < frame.serial
+                           else "dead_receiver")
             elif _clean(dst, frame):
                 outcome = "corrupted"
             else:
@@ -384,7 +395,7 @@ class Simulation:
         self._defer(node, busy_until if busy_until > tx_end else tx_end)
 
     def _backoff_wake(self, node, epoch):
-        if epoch != node.epoch or not node.alive or node.phase != BACKOFF:
+        if epoch != node.epoch or not node.alive:
             return
         now = self.engine.now
         if node.wake_time:
@@ -413,17 +424,14 @@ class Simulation:
     # ---- channel access / exchange --------------------------------------
 
     def _start_access(self, node):
-        if (node.access_pending or not node.alive or node.phase != IDLE
-                or not node.cc.buffer or node.next_hop is None):
+        if node.phase != IDLE or not node.alive or not node.cc.buffer:
             return
-        node.access_pending = True
+        node.phase = PENDING
         at = max(self.engine.now, node.next_access_time)
         self.engine.schedule(at, self._access_begin, node)
 
     def _access_begin(self, node):
-        node.access_pending = False
-        if not node.alive or node.phase != IDLE or not node.cc.buffer \
-                or node.next_hop is None:
+        if not node.alive:
             return
         now = self.engine.now
         if self.is_hccc:
@@ -471,7 +479,7 @@ class Simulation:
                                    rts_frame.data_id))
 
     def _tx_data(self, node):
-        if node.phase != SENDING or not node.alive:
+        if not node.alive:
             return
         now = self.engine.now
         if node.tx_end > now:
@@ -491,14 +499,12 @@ class Simulation:
                                    data_frame.data_id))
 
     def _cts_timeout(self, node, epoch):
-        if epoch != node.epoch or node.phase != AWAIT_CTS:
-            return
-        self._retry(node)
+        if epoch == node.epoch:
+            self._retry(node)
 
     def _ack_timeout(self, node, epoch):
-        if epoch != node.epoch or node.phase != AWAIT_ACK:
-            return
-        self._retry(node)
+        if epoch == node.epoch:
+            self._retry(node)
 
     def _retry(self, node):
         node.epoch += 1
@@ -525,8 +531,7 @@ class Simulation:
         node.access_delay_sum += now - node.access_started_at
         node.access_delay_n += 1
         node.phase = IDLE
-        if node.alive:
-            self._start_access(node)
+        self._start_access(node)
 
     # ---- reception ------------------------------------------------------
 
@@ -535,14 +540,14 @@ class Simulation:
         now = self.engine.now
         kind = frame.kind
         if kind == RTS:
+            # IDLE, PENDING or BACKOFF: the node is in no exchange of its own.
             if (node.tx_end <= now and now >= node.responding_until
-                    and node.phase in (IDLE, BACKOFF)):
+                    and node.phase <= BACKOFF):
                 node.responding_until = now + self.timing.response_us
                 self.engine.schedule(now + self.timing.sifs, self._tx_cts,
                                      node, frame)
         elif kind == CTS:
-            if (node.phase == AWAIT_CTS and node.cc.buffer
-                    and frame.data_id == node.cc.buffer[0]):
+            if node.phase == AWAIT_CTS and frame.data_id == node.cc.buffer[0]:
                 node.epoch += 1
                 node.phase = SENDING
                 self.engine.schedule(now + self.timing.sifs, self._tx_data, node)
@@ -559,8 +564,7 @@ class Simulation:
             else:
                 self._admit(node, pkt)
         elif kind == ACK:
-            if (node.phase == AWAIT_ACK and node.cc.buffer
-                    and frame.data_id == node.cc.buffer[0]):
+            if node.phase == AWAIT_ACK and frame.data_id == node.cc.buffer[0]:
                 node.epoch += 1
                 self._complete_send(node)
 
@@ -571,7 +575,7 @@ class Simulation:
             expected = self.sink_expected.get(origin, 0)
             if seq > expected:
                 src = self.nodes[origin]
-                if src.aimd is not None and src.alive:
+                if src.alive:
                     src.aimd.on_loss_signal(now)
             if seq >= expected:
                 self.sink_expected[origin] = seq + 1

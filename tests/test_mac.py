@@ -6,8 +6,10 @@ import pytest
 
 from hcccsim.engine import RandomStream
 from hcccsim.mac import (MacTiming, airtime_us, draw_backoff, effective_window,
-                         frame_error_probability, ACK, CTS, RTS, Frame)
-from hcccsim.simulation import AWAIT_CTS, BACKOFF, Simulation, run_scenario
+                         frame_error_probability, ACK, CTS, DATA, RTS,
+                         Frame)
+from hcccsim.simulation import (AWAIT_CTS, BACKOFF, PENDING, Simulation,
+                                run_scenario)
 
 from conftest import (contention_topology, hidden_terminal_topology,
                       inject_packet, make_topology, small_cfg,
@@ -130,6 +132,27 @@ def test_heavy_frame_errors_exhaust_retries():
     result = sim.run()
     assert result.mac_drops == 1
     assert result.delivered == 0
+
+
+def test_a_node_with_a_queued_access_answers_an_rts():
+    # Chain sink 0 <- relay 1 <- source 2.  The relay holds a packet whose
+    # access waits out its pacing gap, so its _access_begin is queued (the
+    # node is PENDING) when the source's RTS reaches it: it answers with a
+    # CTS and takes the DATA frame, as an IDLE node would.
+    cfg = small_cfg(trace_mac=True)
+    sim = Simulation(cfg, topology=make_topology(
+        [(0.0, 0.0), (25.0, 0.0), (50.0, 0.0)], ["sink", "relay", "source"]))
+    relay, source = sim.nodes[1], sim.nodes[2]
+    relay.next_access_time = 1_000_000
+    inject_packet(sim, relay)
+    source.w = 1.0
+    inject_packet(sim, source)
+    sim.engine.run_until(100_000)
+    assert relay.phase == PENDING
+    assert [row[1:4] for row in sim.mac_trace if row[4] == "tx_start"] == [
+        (2, RTS, 1), (1, CTS, 2), (2, DATA, 1), (1, ACK, 2)]
+    assert len(relay.cc.buffer) == 2
+    assert source.cc.buffer == []
 
 
 def test_dead_receiver_gives_cts_timeouts():
