@@ -24,16 +24,16 @@ its own process group, and a stopped script kills that group, with the
 The output file holds, per workload and end-to-end metric, each side's
 median and quartiles over the pairs and the number of pairs the change
 won, plus every side's digests, ``correct`` flags, per-layer values and
-``peak_rss_mb_cached`` median and quartiles, the commit ids, the Python version, the CPU
-count and ``PYTHONDONTWRITEBYTECODE``, and each side's ``src_code_lines``:
-the lines of ``src/hcccsim/*.py`` that hold code, leaving out docstrings,
-comments and blank lines.  Two fields per workload say whether
-the sides did the same work: ``same_digest`` (each side has one digest, and
-they are equal) and ``counts_differ`` (the per-layer names whose values
-differ, leaving out host times in s and ``trace.overhead_frac``); both are
-printed at the end.  The script gates and bounds nothing: a digest or count
-that differs is recorded, and ``bench/run.py`` with ``BENCHMARK.json`` keeps
-the bounds.
+``peak_rss_mb_cached`` median and quartiles, the commit ids, the Python
+version, the CPU count and ``PYTHONDONTWRITEBYTECODE``, and each side's
+``src_code_lines``: the lines of ``src/hcccsim/*.py`` that hold code,
+leaving out docstrings, comments and blank lines.  Two fields per workload
+say whether the sides did the same work: ``same_digest`` (each side has one
+digest, and they are equal) and ``counts_differ`` (the per-layer names
+whose values differ, leaving out host times in s and
+``trace.overhead_frac``); both are printed at the end.  The script gates
+and bounds nothing: a digest or count that differs is recorded, and
+``bench/run.py`` with ``BENCHMARK.json`` keeps the bounds.
 """
 
 import argparse

@@ -152,6 +152,20 @@ def test_destination_dead_at_start_versus_dying_mid_frame():
     assert outcomes(sim) == [(160, 1, "dead_receiver"), (240, 0, "no_receiver")]
 
 
+def test_deaths_in_one_microsecond_keep_their_order():
+    # Both frames start at t=0 and each kills its sender.  Node 1's frame
+    # started before node 0 died, so it ends at a dead receiver; node 0's
+    # started after node 1 died, so it never had one.
+    cfg = small_cfg(node_count=2, source_count=1, trace_mac=True,
+                    energy_initial=5e-5, energy_control=1e-4)
+    sim = Simulation(cfg, topology=two_node_topology())
+    send_at(sim, 0, 1, 0)
+    send_at(sim, 0, 0, 1)
+    sim.engine.run_until(10_000)
+    assert [n.death_time for n in sim.nodes] == [0, 0]
+    assert outcomes(sim) == [(160, 1, "dead_receiver"), (160, 0, "no_receiver")]
+
+
 def test_destination_dead_before_the_frame():
     cfg = small_cfg(node_count=2, source_count=1, trace_mac=True)
     sim = Simulation(cfg, topology=two_node_topology())

@@ -4,13 +4,14 @@ where each guard would stand.
 A node's MAC state is two fields: ``phase`` says what the node is doing and
 ``epoch`` which of its queued events are still live.  The handlers test no
 condition that these two fields, or the order of the handlers, rule out.
-``GuardedSimulation`` asserts, at each place such a test would go, that its
-condition is false:
+``GuardedSimulation`` asserts the rule that makes most of them false, and,
+at each place such a test would go, that its condition is false:
 
-* a live ``_backoff_wake`` finds its node in BACKOFF, a live
-  ``_cts_timeout`` in AWAIT_CTS and a live ``_ack_timeout`` in AWAIT_ACK:
-  every exit from those phases bumps the epoch in the handler that makes it
-  (``_tx_rts``, CTS or ACK receipt, ``_retry``);
+* every exit from BACKOFF, AWAIT_CTS and AWAIT_ACK bumps the epoch in the
+  handler that makes it (``_tx_rts`` in a wake-up, CTS or ACK receipt,
+  ``_retry`` in a timeout);
+* so a live ``_backoff_wake`` finds its node in BACKOFF, a live
+  ``_cts_timeout`` in AWAIT_CTS and a live ``_ack_timeout`` in AWAIT_ACK;
 * ``_tx_data`` finds its node SENDING: one ``_tx_data`` is queued per entry
   into SENDING, and only ``_tx_data`` leaves it;
 * ``_access_begin`` finds its node PENDING, with a packet and a next hop:
@@ -27,8 +28,8 @@ condition is false:
 
 The generated scenarios run on a subclass of it
 (``test_generated_scenarios.CountingSimulation``); here it runs the channel
-audit's two short runs, and a run whose ACK receipt leaves the epoch as it
-was must be flagged.
+audit's two short runs, and must flag two doctored runs: one whose ACK
+receipt leaves the epoch as it was, and one with a stray CTS timeout.
 """
 
 import pytest
@@ -41,6 +42,16 @@ from hcccsim.simulation import (AWAIT_ACK, AWAIT_CTS, BACKOFF, PENDING,
 from conftest import inject_packet, small_cfg, two_node_topology
 from test_channel_audit import RUNS
 
+# The phases whose every exit bumps the epoch.
+BUMPED_EXITS = (BACKOFF, AWAIT_CTS, AWAIT_ACK)
+
+
+def check_exit(name, node, phase, epoch):
+    assert phase not in BUMPED_EXITS or node.phase == phase or \
+        node.epoch != epoch, (
+            "%s: node %d left phase %d with its epoch unchanged"
+            % (name, node.id, phase))
+
 
 class GuardedSimulation(Simulation):
     """A Simulation that asserts the facts of the module docstring."""
@@ -50,22 +61,28 @@ class GuardedSimulation(Simulation):
         super()._start_tx(node, frame)
 
     def _backoff_wake(self, node, epoch):
-        assert epoch != node.epoch or node.phase == BACKOFF, (
+        phase, live = node.phase, node.epoch
+        assert epoch != live or phase == BACKOFF, (
             "_backoff_wake: live epoch at node %d in phase %d"
-            % (node.id, node.phase))
+            % (node.id, phase))
         super()._backoff_wake(node, epoch)
+        check_exit("_backoff_wake", node, phase, live)
 
     def _cts_timeout(self, node, epoch):
-        assert epoch != node.epoch or node.phase == AWAIT_CTS, (
+        phase, live = node.phase, node.epoch
+        assert epoch != live or phase == AWAIT_CTS, (
             "_cts_timeout: live epoch at node %d in phase %d"
-            % (node.id, node.phase))
+            % (node.id, phase))
         super()._cts_timeout(node, epoch)
+        check_exit("_cts_timeout", node, phase, live)
 
     def _ack_timeout(self, node, epoch):
-        assert epoch != node.epoch or node.phase == AWAIT_ACK, (
+        phase, live = node.phase, node.epoch
+        assert epoch != live or phase == AWAIT_ACK, (
             "_ack_timeout: live epoch at node %d in phase %d"
-            % (node.id, node.phase))
+            % (node.id, phase))
         super()._ack_timeout(node, epoch)
+        check_exit("_ack_timeout", node, phase, live)
 
     def _tx_data(self, node):
         assert node.phase == SENDING, (
@@ -88,12 +105,14 @@ class GuardedSimulation(Simulation):
         super()._access_begin(node)
 
     def _on_frame(self, node, frame):
-        if (frame.kind == CTS and node.phase == AWAIT_CTS
-                or frame.kind == ACK and node.phase == AWAIT_ACK):
+        phase, epoch = node.phase, node.epoch
+        if (frame.kind == CTS and phase == AWAIT_CTS
+                or frame.kind == ACK and phase == AWAIT_ACK):
             assert node.cc.buffer, (
                 "_on_frame: %s to node %d with an empty buffer"
                 % (frame.kind, node.id))
         super()._on_frame(node, frame)
+        check_exit("_on_frame", node, phase, epoch)
 
     def _deliver_at_sink(self, pkt, now):
         origin = self.log.origin[pkt]
@@ -117,17 +136,32 @@ class ForgetfulAckSimulation(GuardedSimulation):
         super()._complete_send(node)
 
 
-@pytest.mark.parametrize("forgetful", [False, True])
-def test_a_live_timeout_outside_its_phase_is_flagged(forgetful):
-    # One packet, one hop: the ACK empties the buffer and leaves the source
-    # IDLE before its ACK timeout fires.
-    cls = ForgetfulAckSimulation if forgetful else GuardedSimulation
+def one_packet(cls):
+    """A cls run of one packet over one hop, its source queued to send."""
     sim = cls(small_cfg(node_count=2, source_count=1),
               topology=two_node_topology())
     inject_packet(sim, sim.nodes[1])
-    if forgetful:
-        with pytest.raises(AssertionError,
-                           match="_ack_timeout: live epoch at node 1 in phase 0"):
-            sim.run()
-    else:
-        assert sim.run().delivered == 1
+    return sim
+
+
+def test_one_packet_keeps_the_guard_facts():
+    assert one_packet(GuardedSimulation).run().delivered == 1
+
+
+def test_an_exit_that_keeps_the_epoch_is_flagged():
+    with pytest.raises(AssertionError, match="_on_frame: node 1 left phase "
+                       "%d with its epoch unchanged" % AWAIT_ACK):
+        one_packet(ForgetfulAckSimulation).run()
+
+
+def test_a_live_timeout_outside_its_phase_is_flagged():
+    # A CTS timeout queued with the source's epoch while its access is
+    # still pending; it runs before the access begins.
+    sim = GuardedSimulation(small_cfg(node_count=2, source_count=1),
+                            topology=two_node_topology())
+    source = sim.nodes[1]
+    sim.engine.schedule(0, sim._cts_timeout, source, source.epoch)
+    inject_packet(sim, source)
+    with pytest.raises(AssertionError, match="_cts_timeout: live epoch at "
+                       "node 1 in phase %d" % PENDING):
+        sim.run()
