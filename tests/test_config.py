@@ -2,13 +2,13 @@
 
 import math
 import os
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
 from hcccsim import cli, metrics
-from hcccsim.config import (MIN_RATE, ConfigError, ScenarioConfig, dump_config,
-                            parse_config, parse_config_text, validate)
+from hcccsim.config import (_SECTIONS, MIN_RATE, ConfigError, ScenarioConfig,
+                            dump_config, parse_config, parse_config_text, validate)
 from hcccsim.engine import RandomStream
 from hcccsim.simulation import Simulation
 
@@ -47,6 +47,34 @@ def test_round_trip():
         again = parse_config_text(dump_config(cfg))
         assert getattr(again, key) == value, key
         assert asdict(again) == asdict(cfg)
+
+
+# A valid value other than the default for every field.
+NON_DEFAULT = dict(
+    node_count=37, area_side=120.5, radius=100 / 3, source_count=7,
+    offered_load=7.5, buffer_capacity=64, duration=12.25, warmup=2.5,
+    seed=2 ** 64 - 1, scheme="aimd_e2e", traffic="poisson", disconnected="fail",
+    bit_rate=2e6, packet_size=512, control_size=14, slot_us=20, sifs_us=10,
+    difs_us=50, retry_limit=0, frame_error_rate=0.05, bit_error_rate=1e-5,
+    access_jitter_us=0, p=0.1 + 0.2, b_max=0.75, w_min=2, w_max=255, r_min=0.5,
+    r_cap=50.0, aimd_alpha=1.0, energy_initial=2.0, energy_per_packet=3e-6,
+    energy_control=1e-6, window=2.5, trace_mac=True, trace_hccc=True,
+    trace_packets=True)
+
+
+def test_every_field_has_one_section_and_round_trips():
+    # A field missing from _SECTIONS would be left out by dump_config and
+    # rejected as an unknown key when read back.
+    names = [f.name for f in fields(ScenarioConfig)]
+    assert [key for keys in _SECTIONS.values() for key in keys] == names
+    assert sorted(NON_DEFAULT) == sorted(names)
+    default = ScenarioConfig()
+    for key, value in NON_DEFAULT.items():
+        assert value != getattr(default, key), key
+        cfg = validate(ScenarioConfig(**{key: value}))
+        again = parse_config_text(dump_config(cfg))
+        assert getattr(again, key) == value, key
+        assert asdict(again) == asdict(cfg), key
 
 
 def test_occupancy_threshold_range_error_names_field():
