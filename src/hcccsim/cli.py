@@ -11,7 +11,8 @@ import sys
 from dataclasses import replace
 
 from . import metrics
-from .config import ConfigError, ScenarioConfig, dump_config, parse_config, validate
+from .config import (_FIELD_TYPE, ConfigError, ScenarioConfig, dump_config,
+                     parse_config, validate)
 from .simulation import Simulation
 from .topology import TopologyError
 
@@ -90,9 +91,7 @@ def _parse_values(axis, raw):
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ConfigError("empty sweep value list")
-    if axis == "scheme":
-        return parts
-    kind = int if axis in ("seeds", "node_count") else float
+    kind = int if axis == "seeds" else _FIELD_TYPE[axis]
     try:
         return [kind(p) for p in parts]
     except ValueError as exc:

@@ -1,16 +1,17 @@
 """Scenario configuration: line-oriented ``key = value`` files with bracketed sections.
 
 An empty file yields the default scenario (100 nodes in a 100m square, 30m
-radius, 20 sources at 5 pps, 200-byte packets at 1 Mbps, 500-packet buffers,
-B_max 0.4, window range [1, 63], 0.1 J initial energy at 1e-4 J per packet).
-Unknown keys are errors, not warnings, every field is range checked and
-every float field must be finite.
+radius, 20 sources at 5 pps, 1 Mbps, 500-packet buffers, B_max 0.4, window
+range [1, 63], 0.1 J initial energy at 1e-4 J per packet).  The MAC timing and
+frame sizes are constants in :mod:`hcccsim.mac`, the AIMD step one in
+:mod:`hcccsim.traffic`.  Unknown keys are errors, not warnings, every field is
+range checked and every float field must be finite.
 """
 
 import math
 from dataclasses import dataclass, fields
 
-from .mac import airtime_us
+from .mac import CONTROL_SIZE, airtime_us
 
 
 class ConfigError(Exception):
@@ -37,11 +38,6 @@ class ScenarioConfig:
     disconnected: str = "exclude"    # exclude | fail
     # [mac]
     bit_rate: float = 1_000_000.0    # bits/second
-    packet_size: int = 200           # bytes, DATA payload
-    control_size: int = 20           # bytes, RTS/CTS/ACK
-    slot_us: int = 1000
-    sifs_us: int = 200
-    difs_us: int = 1000
     retry_limit: int = 5
     frame_error_rate: float = 0.0    # flat per-frame corruption probability
     bit_error_rate: float = 0.0      # mapped to per-frame probability by size
@@ -53,7 +49,6 @@ class ScenarioConfig:
     w_max: int = 63
     r_min: float = 0.1
     r_cap: float = 200.0
-    aimd_alpha: float = 0.25         # pps/second additive increase (aimd_e2e)
     # [energy]
     energy_initial: float = 0.1      # joules
     energy_per_packet: float = 1e-4  # joules per DATA transmission attempt
@@ -70,9 +65,9 @@ _SECTIONS = {
     "scenario": ["node_count", "area_side", "radius", "source_count", "offered_load",
                  "buffer_capacity", "duration", "warmup", "seed", "scheme", "traffic",
                  "disconnected"],
-    "mac": ["bit_rate", "packet_size", "control_size", "slot_us", "sifs_us", "difs_us",
-            "retry_limit", "frame_error_rate", "bit_error_rate", "access_jitter_us"],
-    "control": ["p", "b_max", "w_min", "w_max", "r_min", "r_cap", "aimd_alpha"],
+    "mac": ["bit_rate", "retry_limit", "frame_error_rate", "bit_error_rate",
+            "access_jitter_us"],
+    "control": ["p", "b_max", "w_min", "w_max", "r_min", "r_cap"],
     "energy": ["energy_initial", "energy_per_packet", "energy_control"],
     "metrics": ["window"],
     "trace": ["trace_mac", "trace_hccc", "trace_packets"],
@@ -142,14 +137,10 @@ def validate(cfg):
     check(cfg.disconnected in ("exclude", "fail"), "disconnected",
           "must be exclude or fail")
     check(cfg.bit_rate > 0, "bit_rate", "must be positive")
-    check(cfg.packet_size >= 1, "packet_size", "must be >= 1")
-    check(cfg.control_size >= 1, "control_size", "must be >= 1")
-    # The per-receiver channel state assumes every frame lasts at least 1 us.
-    check(airtime_us(min(cfg.control_size, cfg.packet_size), cfg.bit_rate) >= 1,
+    # The per-receiver channel state assumes every frame lasts at least 1 us;
+    # a control frame is the shortest.
+    check(airtime_us(CONTROL_SIZE, cfg.bit_rate) >= 1,
           "bit_rate", "must give every frame at least 1 us of airtime")
-    check(cfg.slot_us > 0, "slot_us", "must be positive")
-    check(cfg.sifs_us > 0, "sifs_us", "must be positive")
-    check(cfg.difs_us > 0, "difs_us", "must be positive")
     check(cfg.retry_limit >= 0, "retry_limit", "must be >= 0")
     check(0 <= cfg.frame_error_rate < 1, "frame_error_rate", "must be in [0, 1)")
     check(0 <= cfg.bit_error_rate < 1, "bit_error_rate", "must be in [0, 1)")
@@ -160,7 +151,6 @@ def validate(cfg):
     check(cfg.w_max >= cfg.w_min, "w_max", "must be >= w_min")
     check(cfg.r_min >= MIN_RATE, "r_min", "must be >= %g" % MIN_RATE)
     check(cfg.r_cap >= cfg.r_min, "r_cap", "must be >= r_min")
-    check(cfg.aimd_alpha > 0, "aimd_alpha", "must be positive")
     check(cfg.energy_initial >= MIN_ENERGY, "energy_initial",
           "must be >= %g" % MIN_ENERGY)
     for field in ("energy_per_packet", "energy_control"):

@@ -10,6 +10,13 @@ CTS = "CTS"
 DATA = "DATA"
 ACK = "ACK"
 
+# The one MAC timing and pair of frame sizes every run uses.
+SLOT_US = 1000
+SIFS_US = 200
+DIFS_US = 1000
+PACKET_SIZE = 200    # bytes, DATA payload
+CONTROL_SIZE = 20    # bytes, RTS/CTS/ACK
+
 
 class Frame:
     """One transmission.  Its airtime follows from ``kind``; ``data_id`` is
@@ -46,13 +53,13 @@ class MacTiming:
                  "ctrl_fer", "data_fer")
 
     def __init__(self, cfg):
-        self.slot = cfg.slot_us
-        self.sifs = cfg.sifs_us
-        self.difs = cfg.difs_us
+        self.slot = SLOT_US
+        self.sifs = SIFS_US
+        self.difs = DIFS_US
         self.retry_limit = cfg.retry_limit
         self.jitter_max = cfg.access_jitter_us
-        self.ctrl_air = airtime_us(cfg.control_size, cfg.bit_rate)
-        self.data_air = airtime_us(cfg.packet_size, cfg.bit_rate)
+        self.ctrl_air = airtime_us(CONTROL_SIZE, cfg.bit_rate)
+        self.data_air = airtime_us(PACKET_SIZE, cfg.bit_rate)
         # Timeouts cover the expected response plus one slot of guard time.
         self.cts_timeout = self.ctrl_air + self.sifs + self.ctrl_air + self.slot
         self.ack_timeout = self.data_air + self.sifs + self.ctrl_air + self.slot
@@ -60,9 +67,9 @@ class MacTiming:
         # CTS, DATA and ACK, each after one SIFS.
         self.response_us = 3 * self.sifs + 2 * self.ctrl_air + self.data_air
         self.ctrl_fer = frame_error_probability(cfg.frame_error_rate,
-                                                cfg.bit_error_rate, cfg.control_size)
+                                                cfg.bit_error_rate, CONTROL_SIZE)
         self.data_fer = frame_error_probability(cfg.frame_error_rate,
-                                                cfg.bit_error_rate, cfg.packet_size)
+                                                cfg.bit_error_rate, PACKET_SIZE)
 
 
 def effective_window(w):

@@ -96,7 +96,7 @@ from .congestion import CongestionState
 from .engine import Engine, RandomStream, keyed_draw, keyed_seed_mix
 from .mac import RTS, CTS, DATA, ACK, Frame, MacTiming, draw_backoff
 from .topology import build_topology
-from .traffic import (AimdSource, PacketLog, OUTCOME_CODE, joules_to_nj,
+from .traffic import (AIMD_ALPHA, AimdSource, PacketLog, OUTCOME_CODE, joules_to_nj,
                       DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED)
 
 
@@ -257,8 +257,7 @@ class Simulation:
         self.last_accepted = {}
         if self.is_aimd:
             for src in self.sources:
-                src.aimd = AimdSource(src.cc.R, cfg.aimd_alpha, cfg.r_min,
-                                      cfg.r_cap)
+                src.aimd = AimdSource(src.cc.R, AIMD_ALPHA, cfg.r_min, cfg.r_cap)
         self.sink_expected = {}
 
         self.log = PacketLog()

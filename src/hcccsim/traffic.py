@@ -81,6 +81,10 @@ class PacketLog:
         return map(self.__getitem__, range(len(self.outcome)))
 
 
+# The AIMD baseline's additive increase, in packets/second per quiet second.
+AIMD_ALPHA = 0.25
+
+
 class AimdSource:
     """Source-only additive-increase / multiplicative-decrease rate controller.
 

@@ -10,7 +10,9 @@ from hcccsim import cli, metrics
 from hcccsim.config import (_SECTIONS, MIN_RATE, ConfigError, ScenarioConfig,
                             dump_config, parse_config, parse_config_text, validate)
 from hcccsim.engine import RandomStream
+from hcccsim.mac import CONTROL_SIZE, DIFS_US, PACKET_SIZE, SIFS_US, SLOT_US
 from hcccsim.simulation import Simulation
+from hcccsim.traffic import AIMD_ALPHA
 
 
 def test_empty_file_yields_defaults():
@@ -24,7 +26,10 @@ def test_defaults_match_reference_scenario():
     assert cfg.area_side == 100.0
     assert cfg.radius == 30.0
     assert cfg.offered_load == 5.0
-    assert cfg.packet_size == 200
+    assert PACKET_SIZE == 200
+    assert CONTROL_SIZE == 20
+    assert (SLOT_US, SIFS_US, DIFS_US) == (1000, 200, 1000)
+    assert AIMD_ALPHA == 0.25
     assert cfg.buffer_capacity == 500
     assert cfg.b_max == 0.4
     assert cfg.p == 0.3
@@ -54,12 +59,10 @@ NON_DEFAULT = dict(
     node_count=37, area_side=120.5, radius=100 / 3, source_count=7,
     offered_load=7.5, buffer_capacity=64, duration=12.25, warmup=2.5,
     seed=2 ** 64 - 1, scheme="aimd_e2e", traffic="poisson", disconnected="fail",
-    bit_rate=2e6, packet_size=512, control_size=14, slot_us=20, sifs_us=10,
-    difs_us=50, retry_limit=0, frame_error_rate=0.05, bit_error_rate=1e-5,
+    bit_rate=2e6, retry_limit=0, frame_error_rate=0.05, bit_error_rate=1e-5,
     access_jitter_us=0, p=0.1 + 0.2, b_max=0.75, w_min=2, w_max=255, r_min=0.5,
-    r_cap=50.0, aimd_alpha=1.0, energy_initial=2.0, energy_per_packet=3e-6,
-    energy_control=1e-6, window=2.5, trace_mac=True, trace_hccc=True,
-    trace_packets=True)
+    r_cap=50.0, energy_initial=2.0, energy_per_packet=3e-6, energy_control=1e-6,
+    window=2.5, trace_mac=True, trace_hccc=True, trace_packets=True)
 
 
 def test_every_field_has_one_section_and_round_trips():
@@ -214,6 +217,19 @@ def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
     path.write_text("[control]\nb_max = 1.5\n")
     assert cli.main(["validate", "--config", str(path)]) == 2
     assert "b_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("mac", "packet_size"), ("mac", "control_size"), ("mac", "slot_us"),
+    ("mac", "sifs_us"), ("mac", "difs_us"), ("control", "aimd_alpha")])
+def test_cli_validate_fixed_parameter_exit_2(tmp_path, capsys, section, key):
+    # The MAC timing, the frame sizes and the AIMD step are constants, not keys.
+    path = tmp_path / "fixed.conf"
+    path.write_text("[%s]\n%s = 1\n" % (section, key))
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert "unknown key %r" % key in capsys.readouterr().err
+    with pytest.raises(TypeError):
+        ScenarioConfig(**{key: 1})
 
 
 def test_cli_seed_past_64_bits_exit_2(tmp_path, capsys):
