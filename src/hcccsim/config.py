@@ -35,7 +35,6 @@ class ScenarioConfig:
     seed: int = 1
     scheme: str = "hccc"
     traffic: str = "cbr"             # cbr | poisson
-    disconnected: str = "exclude"    # exclude | fail
     # [mac]
     bit_rate: float = 1_000_000.0    # bits/second
     retry_limit: int = 5
@@ -63,8 +62,7 @@ class ScenarioConfig:
 
 _SECTIONS = {
     "scenario": ["node_count", "area_side", "radius", "source_count", "offered_load",
-                 "buffer_capacity", "duration", "warmup", "seed", "scheme", "traffic",
-                 "disconnected"],
+                 "buffer_capacity", "duration", "warmup", "seed", "scheme", "traffic"],
     "mac": ["bit_rate", "retry_limit", "frame_error_rate", "bit_error_rate",
             "access_jitter_us"],
     "control": ["p", "b_max", "w_min", "w_max", "r_min", "r_cap"],
@@ -134,8 +132,6 @@ def validate(cfg):
     check(0 <= cfg.seed < 2 ** 64, "seed", "must be in [0, 2**64)")
     check(cfg.scheme in SCHEMES, "scheme", "must be one of %s" % (SCHEMES,))
     check(cfg.traffic in ("cbr", "poisson"), "traffic", "must be cbr or poisson")
-    check(cfg.disconnected in ("exclude", "fail"), "disconnected",
-          "must be exclude or fail")
     check(cfg.bit_rate > 0, "bit_rate", "must be positive")
     # The per-receiver channel state assumes every frame lasts at least 1 us;
     # a control frame is the shortest.

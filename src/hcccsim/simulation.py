@@ -52,8 +52,25 @@ wake-ups and timeouts are live: each carries the epoch it was queued with
 and is stale once the epoch has moved.  Every exit from BACKOFF, AWAIT_CTS
 and AWAIT_ACK bumps the epoch in the handler that makes it, so a live event
 finds its node in the phase it was queued for; PENDING and SENDING each
-have exactly one event queued, and only that event leaves them.  A death
-changes neither field, so the handlers that act for a node test ``alive``.
+have exactly one event queued, and only that event leaves them.
+
+A death changes neither field, so the handlers that start a node's own work
+test ``alive``: ``_start_access``, ``_access_begin``, ``_backoff_wake``,
+``_retry``, ``_on_generate`` and ``_on_aimd_tick``.  A PENDING node answers
+RTS frames, so when control frames cost energy it can die on a CTS or ACK
+before its access begins.  The response handlers (``_tx_cts``, ``_tx_data``,
+``_tx_ack``) test neither ``alive`` nor whether the node is on the air, and
+CTS and ACK receipt do not match the packet, because the exchange timing
+rules each case out:
+
+* a node answers an RTS only in IDLE, PENDING or BACKOFF and outside its
+  response window, which lasts until its ACK ends, and it sends no RTS
+  inside that window; so between a frame it receives and its CTS or ACK one
+  SIFS later it starts no frame, and only starting a frame can kill a node;
+* a SENDING node has started nothing since its RTS ended;
+* a CTS or ACK arrives one slot before its sender's timeout, and the head
+  packet changes only when an exchange ends; so a CTS or ACK that finds its
+  node in the matching AWAIT phase is for the packet at the head.
 
 A node's random stream, ``RandomStream(seed, id + 1)``, is made at its first
 draw: a source's in ``run()``, any other node's when it first enters
@@ -472,18 +489,11 @@ class Simulation:
                              self._cts_timeout, node, node.epoch)
 
     def _tx_cts(self, node, rts_frame):
-        if not node.alive or node.tx_end > self.engine.now:
-            return
         self._start_tx(node, Frame(CTS, node.id, rts_frame.src, None,
                                    rts_frame.data_id))
 
     def _tx_data(self, node):
-        if not node.alive:
-            return
         now = self.engine.now
-        if node.tx_end > now:
-            self._retry(node)
-            return
         frame = Frame(DATA, node.id, node.next_hop.id, None, node.cc.buffer[0])
         node.phase = AWAIT_ACK
         self._start_tx(node, frame)
@@ -492,8 +502,6 @@ class Simulation:
                              self._ack_timeout, node, node.epoch)
 
     def _tx_ack(self, node, data_frame):
-        if not node.alive or node.tx_end > self.engine.now:
-            return
         self._start_tx(node, Frame(ACK, node.id, data_frame.src, None,
                                    data_frame.data_id))
 
@@ -540,13 +548,12 @@ class Simulation:
         kind = frame.kind
         if kind == RTS:
             # IDLE, PENDING or BACKOFF: the node is in no exchange of its own.
-            if (node.tx_end <= now and now >= node.responding_until
-                    and node.phase <= BACKOFF):
+            if now >= node.responding_until and node.phase <= BACKOFF:
                 node.responding_until = now + self.timing.response_us
                 self.engine.schedule(now + self.timing.sifs, self._tx_cts,
                                      node, frame)
         elif kind == CTS:
-            if node.phase == AWAIT_CTS and frame.data_id == node.cc.buffer[0]:
+            if node.phase == AWAIT_CTS:
                 node.epoch += 1
                 node.phase = SENDING
                 self.engine.schedule(now + self.timing.sifs, self._tx_data, node)
@@ -563,7 +570,7 @@ class Simulation:
             else:
                 self._admit(node, pkt)
         elif kind == ACK:
-            if node.phase == AWAIT_ACK and frame.data_id == node.cc.buffer[0]:
+            if node.phase == AWAIT_ACK:
                 node.epoch += 1
                 self._complete_send(node)
 

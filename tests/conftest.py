@@ -75,7 +75,7 @@ def invariant_errors(result):
     nodes generated, and the buffers that hold every packet still in flight.
     Every node must end with r_min <= R <= R_max <= r_cap and
     w_min <= W <= w_max, and every HCCC trace row must show R and W in the
-    same bounds.
+    same bounds and come no later than its node's death.
     """
     errors = []
     generated = sum(node.gen_seq for node in result.nodes)
@@ -113,6 +113,10 @@ def invariant_errors(result):
                 and cfg.w_min <= window <= cfg.w_max):
             errors.append("bounds in the HCCC trace: node %d at t=%d (%s): "
                           "R %r, W %r" % (node, t, event, rate, window))
+        death = result.nodes[node].death_time
+        if death is not None and t > death:
+            errors.append("HCCC trace row of node %d at t=%d (%s) after its "
+                          "death at t=%d" % (node, t, event, death))
     for name, trace in (("MAC", result.mac_trace),
                         ("HCCC", result.hccc_trace)):
         back = [i for i in range(1, len(trace))

@@ -58,7 +58,7 @@ def test_round_trip():
 NON_DEFAULT = dict(
     node_count=37, area_side=120.5, radius=100 / 3, source_count=7,
     offered_load=7.5, buffer_capacity=64, duration=12.25, warmup=2.5,
-    seed=2 ** 64 - 1, scheme="aimd_e2e", traffic="poisson", disconnected="fail",
+    seed=2 ** 64 - 1, scheme="aimd_e2e", traffic="poisson",
     bit_rate=2e6, retry_limit=0, frame_error_rate=0.05, bit_error_rate=1e-5,
     access_jitter_us=0, p=0.1 + 0.2, b_max=0.75, w_min=2, w_max=255, r_min=0.5,
     r_cap=50.0, energy_initial=2.0, energy_per_packet=3e-6, energy_control=1e-6,
@@ -88,7 +88,7 @@ def test_occupancy_threshold_range_error_names_field():
 
 def test_unknown_key_is_an_error_with_line_number():
     for key, value in (("bogus_key", "1"), ("printed_fairness", "true"),
-                       ("legacy_ewma", "true")):
+                       ("legacy_ewma", "true"), ("disconnected", "fail")):
         with pytest.raises(ConfigError) as err:
             parse_config_text("node_count = 10\n%s = %s\n" % (key, value))
         assert "line 2" in str(err.value)

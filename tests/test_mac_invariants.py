@@ -20,22 +20,28 @@ at each place such a test would go, that its condition is false:
 * ``_start_access`` is called only for a node with a next hop, and leaves a
   dead node's phase as it was, so ``_complete_send`` need not test
   ``alive``;
-* a CTS or ACK that finds its node in the matching AWAIT phase finds the
-  packet being sent at the head of its buffer;
+* ``_tx_cts``, ``_tx_data`` and ``_tx_ack`` find their node alive and off
+  the air, and so does an RTS the node answers: a node answers only outside
+  its response window and sends no RTS inside it, and a SENDING node has
+  started nothing since its RTS ended;
+* a CTS or ACK that finds its node in the matching AWAIT phase is for the
+  packet at the head of its buffer: it arrives one slot before its
+  sender's timeout, and the head changes only when an exchange ends;
 * under ``aimd_e2e`` each packet delivered at the sink comes from a source
   with an AIMD controller;
 * ``_start_tx`` is called only for a live sender.
 
 The generated scenarios run on a subclass of it
 (``test_generated_scenarios.CountingSimulation``); here it runs the channel
-audit's two short runs, and must flag two doctored runs: one whose ACK
-receipt leaves the epoch as it was, and one with a stray CTS timeout.
+audit's two short runs, and must flag three doctored runs: one whose ACK
+receipt leaves the epoch as it was, one with a stray CTS timeout and one
+that queues an ACK while the node is on the air.
 """
 
 import pytest
 
 from hcccsim.config import ScenarioConfig, validate
-from hcccsim.mac import ACK, CTS
+from hcccsim.mac import ACK, CTS, DATA, RTS
 from hcccsim.simulation import (AWAIT_ACK, AWAIT_CTS, BACKOFF, PENDING,
                                 SENDING, Simulation)
 
@@ -51,6 +57,11 @@ def check_exit(name, node, phase, epoch):
         node.epoch != epoch, (
             "%s: node %d left phase %d with its epoch unchanged"
             % (name, node.id, phase))
+
+
+def check_can_respond(name, node, now):
+    assert node.alive, "%s: node %d is dead" % (name, node.id)
+    assert node.tx_end <= now, "%s: node %d is on the air" % (name, node.id)
 
 
 class GuardedSimulation(Simulation):
@@ -84,10 +95,19 @@ class GuardedSimulation(Simulation):
         super()._ack_timeout(node, epoch)
         check_exit("_ack_timeout", node, phase, live)
 
+    def _tx_cts(self, node, rts_frame):
+        check_can_respond("_tx_cts", node, self.engine.now)
+        super()._tx_cts(node, rts_frame)
+
     def _tx_data(self, node):
         assert node.phase == SENDING, (
             "_tx_data: node %d in phase %d" % (node.id, node.phase))
+        check_can_respond("_tx_data", node, self.engine.now)
         super()._tx_data(node)
+
+    def _tx_ack(self, node, data_frame):
+        check_can_respond("_tx_ack", node, self.engine.now)
+        super()._tx_ack(node, data_frame)
 
     def _start_access(self, node):
         assert node.next_hop is not None, (
@@ -105,11 +125,15 @@ class GuardedSimulation(Simulation):
         super()._access_begin(node)
 
     def _on_frame(self, node, frame):
-        phase, epoch = node.phase, node.epoch
+        phase, epoch, now = node.phase, node.epoch, self.engine.now
+        if (frame.kind == RTS and now >= node.responding_until
+                and phase <= BACKOFF):
+            assert node.tx_end <= now, (
+                "_on_frame: RTS answered by node %d on the air" % node.id)
         if (frame.kind == CTS and phase == AWAIT_CTS
                 or frame.kind == ACK and phase == AWAIT_ACK):
-            assert node.cc.buffer, (
-                "_on_frame: %s to node %d with an empty buffer"
+            assert node.cc.buffer and frame.data_id == node.cc.buffer[0], (
+                "_on_frame: %s to node %d is not for its head packet"
                 % (frame.kind, node.id))
         super()._on_frame(node, frame)
         check_exit("_on_frame", node, phase, epoch)
@@ -152,6 +176,22 @@ def test_an_exit_that_keeps_the_epoch_is_flagged():
     with pytest.raises(AssertionError, match="_on_frame: node 1 left phase "
                        "%d with its epoch unchanged" % AWAIT_ACK):
         one_packet(ForgetfulAckSimulation).run()
+
+
+class DoubleAckSimulation(GuardedSimulation):
+    """DATA receipt that queues a second ACK one microsecond after the
+    first, while the first is on the air."""
+
+    def _on_frame(self, node, frame):
+        super()._on_frame(node, frame)
+        if frame.kind == DATA:
+            self.engine.schedule(self.engine.now + self.timing.sifs + 1,
+                                 self._tx_ack, node, frame)
+
+
+def test_an_ack_queued_on_the_air_is_flagged():
+    with pytest.raises(AssertionError, match="_tx_ack: node 0 is on the air"):
+        one_packet(DoubleAckSimulation).run()
 
 
 def test_a_live_timeout_outside_its_phase_is_flagged():

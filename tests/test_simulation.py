@@ -14,9 +14,9 @@ import pytest
 from hcccsim import congestion
 from hcccsim.config import ScenarioConfig, validate
 from hcccsim.engine import RandomStream
-from hcccsim.mac import DATA, RTS
+from hcccsim.mac import ACK, DATA, RTS
 from hcccsim.metrics import build_report, summary_row
-from hcccsim.simulation import Simulation, run_scenario
+from hcccsim.simulation import PENDING, Simulation, run_scenario
 from hcccsim.traffic import (DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED,
                              IN_FLIGHT, PacketLog)
 
@@ -110,6 +110,26 @@ def test_dead_nodes_stop_transmitting():
             assert t <= death[node_id]
 
 
+def test_a_node_that_dies_while_pending_begins_no_access():
+    # Source 1 relays for source 2.  Control frames cost energy, and the ACK
+    # it sends source 2 at 1.47 s leaves it below one DATA charge while an
+    # access of its own is pending: that access must not begin, so node 1
+    # stays PENDING, runs no HCCC detect and queues no backoff.
+    cfg = validate(ScenarioConfig(
+        node_count=3, source_count=2, scheme="hccc", offered_load=5.0, seed=1,
+        duration=60.0, energy_initial=0.003, energy_per_packet=1e-4,
+        energy_control=1e-4, trace_mac=True, trace_hccc=True))
+    result = run_scenario(cfg, topology=make_topology(
+        [(0.0, 0.0), (20.0, 0.0), (40.0, 0.0)], ["sink", "source", "source"]))
+    relay = result.nodes[1]
+    last = [row for row in result.mac_trace
+            if row[1] == 1 and row[4] == "tx_start"][-1]
+    assert (last[0], last[2]) == (relay.death_time, ACK)
+    assert relay.phase == PENDING
+    assert invariant_errors(result) == []
+    assert result.events_processed == 299
+
+
 def test_zero_offered_load():
     result = run_scenario(mid_cfg(offered_load=0.0))
     assert result.generated == 0
@@ -177,6 +197,14 @@ def test_simulation_keeps_its_instance_dict_shared():
                                duration=1.0))
     sim.run()
     assert len(vars(sim)) <= 29
+
+
+def test_scenario_config_keeps_its_instance_dict_shared():
+    # The same limit holds for the config: congestion.py reads cfg.p on
+    # every packet arrival and departure and cfg.b_max on every HCCC detect
+    # and feedback, and CPython 3.11 specialises those loads to
+    # LOAD_ATTR_INSTANCE_VALUE only up to 29 attributes.
+    assert len(vars(ScenarioConfig())) <= 29
 
 
 @pytest.mark.parametrize("scheme", ["hccc", "none", "aimd_e2e"])

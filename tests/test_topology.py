@@ -215,13 +215,6 @@ def test_routes_against_independent_bfs():
         assert steps == hop_count[i]
 
 
-def test_disconnected_fail_policy():
-    cfg = validate(ScenarioConfig(node_count=40, radius=5.0, source_count=10,
-                                  disconnected="fail"))
-    with pytest.raises(TopologyError):
-        build_topology(cfg, RandomStream(cfg.seed, 0))
-
-
 def test_disconnected_exclude_policy():
     cfg = validate(ScenarioConfig(node_count=40, radius=5.0, source_count=10))
     topo = build_topology(cfg, RandomStream(cfg.seed, 0))
