@@ -125,7 +125,11 @@ class Engine:
         q = self._queue
         # An event pending now or scheduled during the call ends dispatched or pending.
         uncounted = self._seq - len(q)
-        while q:
+        # Not `while q:`: CPython 3.11 specialises this frame only after it warms
+        # up on an unconditional back-edge, and `while q:` closes on a conditional one.
+        while True:
+            if not q:
+                break
             time, seq, fn, args = heappop(q)
             if time > limit:
                 # Back in the heap with its seq, so its order is kept.

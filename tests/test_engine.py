@@ -104,6 +104,33 @@ def test_clock_never_decreases_and_order_is_total():
     assert times == sorted(times)
 
 
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason=(
+    "only CPython 3.11 specialises a frame after it warms up: 3.10 does "
+    "not specialise, and 3.12+ quickens code when it is created"))
+def test_one_run_until_call_runs_specialised_bytecode():
+    # A run enters run_until once, so its loop must warm up on its own
+    # back-edge.  The call runs in a fresh interpreter: in this one, earlier
+    # tests have already warmed run_until up through their calls.
+    code = ("import dis\n"
+            "from hcccsim.engine import Engine\n"
+            "eng = Engine()\n"
+            "def tick(n):\n"
+            "    if n:\n"
+            "        eng.schedule(eng.now + 1, tick, n - 1)\n"
+            "for _ in range(3):\n"
+            "    eng.schedule(0, tick, 100)\n"
+            "assert eng.run_until(10**6) == 303\n"
+            "print(' '.join(i.opname for i in\n"
+            "               dis.get_instructions(Engine.run_until, adaptive=True)))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hcccsim.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=30,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    opnames = set(proc.stdout.split())
+    assert {"UNPACK_SEQUENCE_TUPLE", "STORE_ATTR_SLOT"} <= opnames, sorted(opnames)
+
+
 def test_same_stream_reproduces_sequence():
     a = RandomStream(42, 7)
     b = RandomStream(42, 7)

@@ -3,8 +3,11 @@
 Each case is a small scenario drawn from a fixed-seed RandomStream: 3-12
 nodes, a random field side, radius, offered load, buffer size, window and
 scheme, access jitter 0 or 1000 us, a lossless or lossy channel and, in some
-cases, an energy budget that kills nodes.  A draw that puts fewer than 100
-frames on the air is redrawn from the same stream.  Every case runs with
+cases, an energy budget that kills nodes.  A few more cases, from stream ids
+of their own, run ``hccc`` with control frames that cost as much as a DATA
+frame, as in the 3-node chain test of ``test_simulation.py``: there a node
+can die on a CTS or ACK while its own access is pending.  A draw that puts
+fewer than 100 frames on the air is redrawn from the same stream.  Every case runs with
 the MAC and HCCC traces on and must pass the channel audit, the MAC audit
 and the run invariants of ``conftest.invariant_errors``: the outcome
 partition, the energy identity, buffer conservation at every node, the
@@ -18,6 +21,7 @@ case runs on a ``test_mac_invariants.GuardedSimulation``, so a handler that
 meets a condition the MAC's phase and epoch rule out fails the case.
 """
 
+import dataclasses
 import functools
 
 import pytest
@@ -32,14 +36,18 @@ from test_channel_audit import audit
 from test_mac_invariants import GuardedSimulation
 
 CASES = 40
+DYING_HCCC_CASES = 16
 MIN_FRAMES = 100
+DYING_HCCC = dict(scheme="hccc", energy_initial=0.003,
+                  energy_per_packet=1e-4, energy_control=1e-4)
 
 
 class CountingSimulation(GuardedSimulation):
-    """Counts freezes; records every node that entered backoff or was the
-    live destination of a frame."""
+    """Counts freezes and ``_access_begin`` calls on dead nodes; records
+    every node that entered backoff or was the live destination of a frame."""
 
     freezes = 0
+    dead_access_begins = 0
 
     def __init__(self, cfg):
         super().__init__(cfg)
@@ -48,6 +56,11 @@ class CountingSimulation(GuardedSimulation):
     def _freeze(self, node, now):
         self.freezes += 1
         super()._freeze(node, now)
+
+    def _access_begin(self, node):
+        if not node.alive:
+            self.dead_access_begins += 1
+        super()._access_begin(node)
 
     def _begin_backoff(self, node):
         self.must_listen.add(node.id)
@@ -97,11 +110,12 @@ def off_route_frames(sim):
             and row[3] != next_hop[row[1]]]
 
 
-def draw_config(stream):
+def draw_config(stream, **fixed):
+    """A drawn config; ``fixed`` replaces drawn fields after every draw."""
     node_count = stream.uniform_int(3, 12)
     lossy = stream.random() < 0.3
     dying = stream.random() < 0.25
-    return validate(ScenarioConfig(
+    return validate(dataclasses.replace(ScenarioConfig(
         node_count=node_count,
         source_count=stream.uniform_int(1, node_count - 1),
         area_side=20.0 + 60.0 * stream.random(),
@@ -117,15 +131,17 @@ def draw_config(stream):
         energy_initial=0.002 if dying else 0.1,
         energy_control=2e-5 if dying else 0.0,
         duration=4.0, warmup=1.0, seed=stream.uniform_int(1, 10_000),
-        trace_mac=True, trace_hccc=True))
+        trace_mac=True, trace_hccc=True), **fixed))
 
 
 @functools.lru_cache(maxsize=None)
 def case(i):
-    """(simulation, result) of generated case i."""
+    """(simulation, result) of generated case i; the cases from CASES on
+    are the dying HCCC ones."""
     stream = RandomStream(10, i)
+    fixed = DYING_HCCC if i >= CASES else {}
     for _ in range(50):
-        sim = CountingSimulation(draw_config(stream))
+        sim = CountingSimulation(draw_config(stream, **fixed))
         result = sim.run()
         if result.data_attempts + result.ctrl_attempts >= MIN_FRAMES:
             return sim, result
@@ -133,7 +149,7 @@ def case(i):
                          % (i, MIN_FRAMES))
 
 
-@pytest.mark.parametrize("i", range(CASES))
+@pytest.mark.parametrize("i", range(CASES + DYING_HCCC_CASES))
 def test_generated_scenario_invariants(i):
     sim, result = case(i)
     assert audit(sim) == []
@@ -144,10 +160,11 @@ def test_generated_scenario_invariants(i):
 
 
 def test_generated_cases_cover_the_hard_paths():
-    runs = [case(i) for i in range(CASES)]
+    runs = [case(i) for i in range(CASES + DYING_HCCC_CASES)]
     assert any(sim.freezes for sim, _ in runs)
     assert any(node.death_time is not None
                for _, result in runs for node in result.nodes)
     assert any(sim.cfg.frame_error_rate > 0 for sim, _ in runs)
     assert any(sim.cfg.access_jitter_us == 0 for sim, _ in runs)
     assert {sim.cfg.scheme for sim, _ in runs} == set(SCHEMES)
+    assert any(sim.dead_access_begins for sim, _ in runs)
