@@ -3,15 +3,15 @@
 Each case is a small scenario drawn from a fixed-seed RandomStream: 3-12
 nodes, a random field side, radius, offered load, buffer size, window and
 scheme, access jitter 0 or 1000 us, a lossless or lossy channel and, in some
-cases, an energy budget that kills nodes.  A few more cases, from stream ids
+cases, an energy budget that kills nodes.  16 more cases, from stream ids
 of their own, run ``hccc`` with control frames that cost as much as a DATA
 frame, as in the 3-node chain test of ``test_simulation.py``: there a node
 can die on a CTS or ACK while its own access is pending.  A draw that puts
-fewer than 100 frames on the air is redrawn from the same stream.  Every case runs with
-the MAC and HCCC traces on and must pass the channel audit, the MAC audit
-and the run invariants of ``conftest.invariant_errors``: the outcome
-partition, the energy identity, buffer conservation at every node, the
-bounds on R and W and the time order of both traces.  Each listener list a
+fewer than 100 frames on the air is redrawn from the same stream.  Every
+case runs with the MAC and HCCC traces on and must pass the channel audit,
+the MAC audit and the run invariants of ``conftest.invariant_errors``: the
+outcome partition, the energy identity, buffer conservation at every node,
+the bounds on R and W and the time order of both traces.  Each listener list a
 run made must hold exactly the live carriers among its sender's neighbours,
 in id order, and every node that entered backoff or was a live destination
 must be a carrier: a source or a hop of a source's route.  Every RTS and
@@ -111,7 +111,8 @@ def off_route_frames(sim):
 
 
 def draw_config(stream, **fixed):
-    """A drawn config; ``fixed`` replaces drawn fields after every draw."""
+    """A drawn config, with the fields in ``fixed`` set to their values
+    instead; the draws are the same either way."""
     node_count = stream.uniform_int(3, 12)
     lossy = stream.random() < 0.3
     dying = stream.random() < 0.25
