@@ -22,6 +22,7 @@ inter-departure gap with the frame airtime.
 """
 
 import math
+from array import array
 
 
 class CongestionLogicError(Exception):
@@ -44,7 +45,9 @@ class CongestionState:
     averages have been updated at least once.  ``relay`` holds a downstream
     occupancy ratio waiting to be relayed on the node's next RTS; ``sent_own``
     is True from the node's own congested signal (b_r > b_max) until its next
-    relay.
+    relay.  ``buffer`` holds the buffered packets' ``PacketLog`` rows, head
+    first, as machine ints in an ``array("i")``: 4 bytes a packet, where a
+    list of int objects costs 40.
     """
 
     __slots__ = (
@@ -59,7 +62,7 @@ class CongestionState:
         self.last_arrival = None
         self.last_departure = None
         self.C_d = None
-        self.buffer = []
+        self.buffer = array("i")
         self.capacity = capacity
         self.R = r_init
         self.R_max = r_init

@@ -78,7 +78,7 @@ backoff.  Its values depend only on the seed and the id, so when it is made
 changes no draw, and a node that never contends never pays for one.
 
 A packet is its row number in the run's ``PacketLog``: node buffers,
-``last_accepted`` and ``Frame.data_id`` hold that int, and the log's
+``last_accepted`` and ``Frame.data_id`` hold that number, and the log's
 columns (origin, seq, hop count) are all the state a packet has.
 
 The links between nodes live on the Simulation: ``listeners[j]``, the dict
@@ -89,7 +89,8 @@ node keeps only ``next_hop``, and the routes form a tree toward the sink, so
 no reference cycle joins the nodes: dropping a run's Simulation and
 RunResult frees it by reference counting alone.
 
-A node buffer (``Node.cc.buffer``) is a FIFO list that only this module changes:
+A node buffer (``Node.cc.buffer``) is a FIFO ``array("i")`` of log rows, each
+a 4-byte machine int and no int object, that only this module changes:
 ``_admit`` is the one way in (a drop-tail test against the capacity) and
 ``_dequeue`` the one way out (the head packet, sent or given up on).  Under
 HCCC the congestion layer observes each arrival before the drop-tail test

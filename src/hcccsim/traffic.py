@@ -1,8 +1,10 @@
 """Traffic bookkeeping and the end-to-end AIMD baseline.
 
 Every generated packet is one row of a ``PacketLog``: a fixed-width column
-per field, about 30 bytes a packet.  The row number is the packet: buffers
-and DATA frames carry it, and no other packet object exists.
+per field, about 30 bytes a packet.  The row number is the packet: node
+buffers hold it as a 4-byte machine int, in an ``array("i")`` like the
+origin, seq and hops columns, DATA frames carry it, and no other packet
+object exists.
 """
 
 from array import array

@@ -61,8 +61,7 @@ def test_acceptance_1_adjustment_oracle():
     def with_occupancy(occ, r, r_max):
         st = CongestionState(10, 2600, r)
         st.R_max = r_max
-        for _ in range(occ):
-            st.buffer.append(object())
+        st.buffer.extend(range(occ))
         return st
 
     assert congestion.process_feedback(with_occupancy(5, 100.0, 100.0),
@@ -90,8 +89,7 @@ def test_acceptance_2_averaging_fixtures():
     assert st.T_a == 13_000.0
 
     st = CongestionState(500, 2600, 100.0)
-    for _ in range(3):
-        st.buffer.append(object())
+    st.buffer.extend(range(3))
     congestion.on_packet_departure(st, 0, 1600, params)
     congestion.on_packet_departure(st, 15_000, 1600, params)
     assert st.T_s == 10_980.0

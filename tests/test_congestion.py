@@ -22,8 +22,7 @@ def fresh_state(capacity=500, nominal=2600, r=100.0):
 
 
 def fill(state, k):
-    for i in range(k):
-        state.buffer.append(object())
+    state.buffer.extend(range(k))
 
 
 # ---- inter-arrival / service averaging ----------------------------------
@@ -181,7 +180,7 @@ def test_apply_detect_sets_and_clears_flag():
     assert congestion.apply_detect(st, P) == DECLARE_CONGESTION
     assert (st.R, st.R_max) == (80.0, 120.0)
     st.T_s = 900.0
-    st.buffer.clear()
+    del st.buffer[:]
     assert congestion.apply_detect(st, P) == CLEAR_CONGESTION
     assert (st.R, st.R_max) == (80.0, 120.0)
 
@@ -365,7 +364,7 @@ def test_r_max_never_below_r():
     st = feedback_state(0, 50.0, 50.0, capacity=20)
     for i in range(500):
         occ = stream.uniform_int(0, 20)
-        st.buffer.clear()
+        del st.buffer[:]
         fill(st, occ)
         congestion.apply_feedback(st, 16.0, stream.random(), P)
         assert st.R_max >= st.R - 1e-12

@@ -152,7 +152,7 @@ def test_a_node_with_a_queued_access_answers_an_rts():
     assert [row[1:4] for row in sim.mac_trace if row[4] == "tx_start"] == [
         (2, RTS, 1), (1, CTS, 2), (2, DATA, 1), (1, ACK, 2)]
     assert len(relay.cc.buffer) == 2
-    assert source.cc.buffer == []
+    assert len(source.cc.buffer) == 0
 
 
 def test_dead_receiver_gives_cts_timeouts():

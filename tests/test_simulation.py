@@ -5,6 +5,7 @@ import importlib.util
 import sys
 import tracemalloc
 import weakref
+from array import array
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -250,18 +251,34 @@ def test_packet_accounting_takes_few_bytes_per_packet():
     # Saturated: most packets end in a buffer or overflow it.  Dropping the
     # run's packet log must free it (at least 16 B a packet, so nothing
     # else holds it) and it must take at most 64 B a packet.
+    #
+    # Emptying every node's buffer must free at least one 4-byte machine int
+    # per buffered packet and at most two, plus one empty buffer's size per
+    # node: an array grown to n items holds at most n + n // 16 + 7, and
+    # popping its head keeps them, so a drained buffer keeps a few items'
+    # room.  A list of int objects frees about 40 B a packet.
     cfg = validate(ScenarioConfig(node_count=30, source_count=6, scheme="none",
                                   offered_load=15.0, duration=20.0))
+    item, header = array("i").itemsize, sys.getsizeof(array("i"))
     tracemalloc.start()
     try:
         result = run_scenario(cfg)
         before = tracemalloc.get_traced_memory()[0]
         result.records = None
         freed = before - tracemalloc.get_traced_memory()[0]
+        buffered = sum(len(node.cc.buffer) for node in result.nodes)
+        before = tracemalloc.get_traced_memory()[0]
+        for node in result.nodes:
+            node.cc.buffer = node.cc.buffer[:0]
+        freed_buffers = before - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert result.overflow_drops > 0 and result.in_flight > 0
     assert 16 * result.generated <= freed <= 64 * result.generated
+    assert buffered > 0
+    assert (item * buffered <= freed_buffers
+            <= 2 * item * buffered + header * len(result.nodes)), (
+        buffered, freed_buffers)
 
 
 def hop_mismatches(sim):
