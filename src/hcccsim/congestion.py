@@ -47,7 +47,8 @@ class CongestionState:
     is True from the node's own congested signal (b_r > b_max) until its next
     relay.  ``buffer`` holds the buffered packets' ``PacketLog`` rows, head
     first, as machine ints in an ``array("i")``: 4 bytes a packet, where a
-    list of int objects costs 40.
+    list of int objects costs 40.  Only a carrier admits packets; any other
+    node's buffer is the empty tuple, which holds no array.
     """
 
     __slots__ = (
@@ -56,13 +57,13 @@ class CongestionState:
         "departures_updated",
     )
 
-    def __init__(self, capacity, nominal_service_us, r_init):
+    def __init__(self, capacity, nominal_service_us, r_init, carrier=True):
         self.T_a = None
         self.T_s = float(nominal_service_us)
         self.last_arrival = None
         self.last_departure = None
         self.C_d = None
-        self.buffer = array("i")
+        self.buffer = array("i") if carrier else ()
         self.capacity = capacity
         self.R = r_init
         self.R_max = r_init

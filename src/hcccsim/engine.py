@@ -2,15 +2,23 @@
 
 Time is an integer count of microseconds since simulation start.  Events are
 dispatched in (time, seq) order where seq is the scheduling order, so ties are
-broken deterministically.  The PRNG is an explicit xorshift64* generator seeded
-through a splitmix64 mix of (seed, stream_id); it does not depend on the
-standard library generator, so sequences are identical across platforms.
+broken deterministically.  They wait in a calendar queue of 4,096 us buckets
+(``Engine``), which dispatches in the order one binary heap of every event
+would: the buckets only save the heap's push and pop per event.  The PRNG is
+an explicit xorshift64* generator seeded through a splitmix64 mix of
+(seed, stream_id); it does not depend on the standard library generator, so
+sequences are identical across platforms.
 """
 
+from bisect import insort
 from heapq import heappush, heappop
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# An event at t us waits in bucket t >> SLOT_BITS: 4,096 us, about one
+# RTS/CTS/DATA/ACK exchange plus DIFS at 1 Mbps (3.7 ms).
+SLOT_BITS = 12
 
 
 class SchedulingError(Exception):
@@ -99,15 +107,30 @@ class RandomStream:
 
 
 class Engine:
-    """Single-threaded event loop.  A run owns all mutable state."""
+    """Single-threaded event loop.  A run owns all mutable state.
 
-    __slots__ = ("now", "_queue", "_seq", "processed")
+    Pending events wait in buckets, one per slot of 2**SLOT_BITS us, after
+    Brown's calendar queue (CACM 31(10), 1988): a dict from slot number to
+    an unsorted list, and a heap of the occupied slot numbers.  run_until
+    opens the earliest bucket, sorts it once and walks it; an event due no
+    later than the open bucket's slot is inserted into it in order, the
+    events the walk has passed included.  So dispatch order is exactly
+    (time, seq), as from one heap of every event.
+    """
+
+    __slots__ = ("now", "processed", "_seq", "_taken", "_open", "_open_slot",
+                 "_walk", "_buckets", "_slots")
 
     def __init__(self):
         self.now = 0
-        self._queue = []
-        self._seq = 0
         self.processed = 0
+        self._seq = 0
+        self._taken = 0         # events dispatched or dropped, not in _open
+        self._open = []         # the open bucket, sorted, dispatched up to _walk
+        self._open_slot = -1
+        self._walk = iter(self._open)
+        self._buckets = {}
+        self._slots = []
 
     def schedule(self, time, fn, *args):
         if time < self.now:
@@ -115,36 +138,70 @@ class Engine:
                 "event scheduled at t=%d before current clock t=%d" % (time, self.now)
             )
         self._seq = seq = self._seq + 1
-        heappush(self._queue, (time, seq, fn, args))
+        slot = time >> SLOT_BITS
+        if slot <= self._open_slot:
+            insort(self._open, (time, seq, fn, args))
+            return
+        bucket = self._buckets.get(slot)
+        if bucket is None:
+            self._buckets[slot] = [(time, seq, fn, args)]
+            heappush(self._slots, slot)
+        else:
+            bucket.append((time, seq, fn, args))
 
     def run_until(self, limit):
         """Process every event with time <= limit, then set the clock to limit
         (never back); returns the number processed."""
         if limit < self.now:
             raise SchedulingError("run_until(%d) before clock t=%d" % (limit, self.now))
-        q = self._queue
         # An event pending now or scheduled during the call ends dispatched or pending.
-        uncounted = self._seq - len(q)
-        # Not `while q:`: CPython 3.11 specialises this frame only after it warms
-        # up on an unconditional back-edge, and `while q:` closes on a conditional one.
+        uncounted = self._seq - self.pending()
+        last = limit >> SLOT_BITS
+        buckets, slots = self._buckets, self._slots
+        bucket, walk = self._open, self._walk
+        # Not `while slots:`: CPython 3.11 specialises this frame only after it
+        # warms up on unconditional back-edges, and such a loop closes on a
+        # conditional one.
         while True:
-            if not q:
+            if self._open_slot >= last:
+                # The limit falls in the open bucket or before it.
+                for time, _, fn, args in walk:
+                    if time > limit:
+                        # Left at the bucket's head, so its order is kept.
+                        done = len(bucket) - walk.__length_hint__() - 1
+                        break
+                    self.now = time
+                    fn(*args)
+                else:
+                    done = len(bucket)
                 break
-            time, seq, fn, args = heappop(q)
-            if time > limit:
-                # Back in the heap with its seq, so its order is kept.
-                heappush(q, (time, seq, fn, args))
+            for time, _, fn, args in walk:
+                self.now = time
+                fn(*args)
+            if not slots:
+                done = len(bucket)
                 break
-            self.now = time
-            fn(*args)
-        count = self._seq - len(q) - uncounted
+            self._taken += len(bucket)
+            self._open_slot = slot = heappop(slots)
+            bucket = self._open = buckets.pop(slot)
+            bucket.sort()
+            walk = self._walk = iter(bucket)
+        # An exhausted iterator sees no later insertion: start a new one.
+        del bucket[:done]
+        self._taken += done
+        self._walk = iter(bucket)
+        count = self._seq - self.pending() - uncounted
         self.now = limit
         self.processed += count
         return count
 
     def pending(self):
-        return len(self._queue)
+        return self._seq - self._taken - len(self._open) + self._walk.__length_hint__()
 
     def clear(self):
         """Drop every pending event."""
-        self._queue.clear()
+        self._taken = self._seq
+        self._buckets.clear()
+        self._slots.clear()
+        self._open.clear()
+        self._walk = iter(self._open)

@@ -89,12 +89,13 @@ node keeps only ``next_hop``, and the routes form a tree toward the sink, so
 no reference cycle joins the nodes: dropping a run's Simulation and
 RunResult frees it by reference counting alone.
 
-A node buffer (``Node.cc.buffer``) is a FIFO ``array("i")`` of log rows, each
-a 4-byte machine int and no int object, that only this module changes:
+A carrier's buffer (``Node.cc.buffer``) is a FIFO ``array("i")`` of log rows,
+each a 4-byte machine int and no int object, that only this module changes:
 ``_admit`` is the one way in (a drop-tail test against the capacity) and
 ``_dequeue`` the one way out (the head packet, sent or given up on).  Under
 HCCC the congestion layer observes each arrival before the drop-tail test
-and each sent packet just before its dequeue; it never moves a packet.
+and each sent packet just before its dequeue; it never moves a packet.  Any
+other node's buffer is the empty tuple: it never holds a packet.
 
 Energy is kept in integer nanojoules (``Node.energy_nj``), converted from
 the ``[energy]`` keys once, so the energy consumed is exactly each cost times
@@ -244,26 +245,28 @@ class Simulation:
         self.slot, self.difs, self.jitter_max = t.slot, t.difs, t.jitter_max
         self.data_air, self.ctrl_air = t.data_air, t.ctrl_air
 
+        # Only carriers (see the module docstring) buffer, listen or are children.
+        specs, next_hop = self.topology.nodes, self.topology.next_hop
+        carrier = self.carrier = [False] * len(specs)
+        for spec in specs:
+            if spec.role == "source" and self.topology.reachable(spec.id):
+                i = spec.id
+                while i is not None and not carrier[i]:
+                    carrier[i] = True
+                    i = next_hop[i]
         nominal_service, w_max = float(self.data_air + self.slot), float(cfg.w_max)
         nodes = []
-        for spec in self.topology.nodes:
+        for spec in specs:
             if spec.role == "source":
                 r_init = min(max(cfg.offered_load, cfg.r_min), cfg.r_cap)
             else:
                 r_init = cfg.r_cap
-            cc = CongestionState(cfg.buffer_capacity, nominal_service, r_init)
+            cc = CongestionState(cfg.buffer_capacity, nominal_service, r_init,
+                                 carrier[spec.id])
             nodes.append(Node(spec, initial_nj, cc, w_max))
         self.nodes = nodes
         self.sources = [n for n in nodes if n.role == "source"
                         and self.topology.reachable(n.id)]
-        # Only carriers (see the module docstring) listen or are children.
-        next_hop = self.topology.next_hop
-        carrier = self.carrier = [False] * len(nodes)
-        for src in self.sources:
-            i = src.id
-            while i is not None and not carrier[i]:
-                carrier[i] = True
-                i = next_hop[i]
         self.listeners = [None] * len(nodes)   # made at each sender's first frame
         self.children = {}
         for node in nodes:

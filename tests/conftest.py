@@ -55,6 +55,17 @@ def inject_packet(sim, node):
     return pkt
 
 
+def queued_events(engine):
+    """The events pending in an Engine, as (time, seq, fn, args) tuples in
+    dispatch order: the part of the open bucket not yet walked, then every
+    other bucket."""
+    bucket = engine._open
+    events = bucket[len(bucket) - engine._walk.__length_hint__():]
+    for bucket in engine._buckets.values():
+        events.extend(bucket)
+    return sorted(events)
+
+
 def map_runs(worker, configs):
     """[worker(cfg) for cfg in configs], run on at most four worker
     processes, and serially on one CPU.  worker must be a module-level

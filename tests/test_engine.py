@@ -1,7 +1,9 @@
 """Event engine: dispatch order, clock discipline, PRNG streams."""
 
+import heapq
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import hcccsim
-from hcccsim.engine import (Engine, RandomStream, SchedulingError, keyed_draw,
-                            keyed_random, keyed_seed_mix)
+from hcccsim.engine import (SLOT_BITS, Engine, RandomStream, SchedulingError,
+                            keyed_draw, keyed_random, keyed_seed_mix)
 
 
 def test_schedule_at_current_time_dispatches():
@@ -102,6 +104,138 @@ def test_clock_never_decreases_and_order_is_total():
     eng.schedule(1, record)
     eng.run_until(10_000)
     assert times == sorted(times)
+
+
+class HeapEngine:
+    """The reference queue: every pending event in one heap of
+    (time, seq, fn, args) tuples."""
+
+    def __init__(self):
+        self.now = 0
+        self.processed = 0
+        self.seq = 0
+        self.queue = []
+
+    def schedule(self, time, fn, *args):
+        assert time >= self.now
+        self.seq += 1
+        heapq.heappush(self.queue, (time, self.seq, fn, args))
+
+    def run_until(self, limit):
+        count = 0
+        while self.queue and self.queue[0][0] <= limit:
+            time, _, fn, args = heapq.heappop(self.queue)
+            self.now = time
+            fn(*args)
+            count += 1
+        self.now = limit
+        self.processed += count
+        return count
+
+    def pending(self):
+        return len(self.queue)
+
+    def clear(self):
+        self.queue.clear()
+
+
+SLOT = 1 << SLOT_BITS
+
+
+def offset(rng):
+    """A time offset: the same instant, inside one slot, a slot boundary or
+    many slots ahead."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randrange(1, SLOT)
+    if kind == 2:
+        return rng.randrange(1, 4) * SLOT - rng.randrange(2)
+    return rng.randrange(SLOT, 60 * SLOT)
+
+
+def run_program(seed, eng, seen):
+    """One seeded program of schedule / run_until / clear calls; yields the
+    name of each call after it returns.  seen collects a handler's tag, the
+    clock and pending() each time one runs."""
+    rng = random.Random(seed)
+    tags = iter(range(10 ** 9))
+
+    def handler(tag, follow_ups):
+        seen.append((tag, eng.now, eng.pending()))
+        # A handler schedules from a stream of its own, so both queues
+        # see the same calls as long as they dispatch in the same order.
+        child = random.Random(tag)
+        for _ in range(follow_ups):
+            eng.schedule(eng.now + offset(child), handler, next(tags),
+                         child.randrange(3) // 2)
+
+    for _ in range(200):
+        step = rng.random()
+        if step < 0.6:
+            eng.schedule(eng.now + offset(rng), handler, next(tags),
+                         rng.randrange(4))
+            yield "schedule"
+        elif step < 0.97:
+            yield "run_until", eng.run_until(eng.now + offset(rng))
+        else:
+            eng.clear()
+            yield "clear"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dispatch_order_matches_one_heap(seed):
+    seen, ref_seen = [], []
+    eng, ref = Engine(), HeapEngine()
+    calls = run_program(seed, eng, seen)
+    ref_calls = run_program(seed, ref, ref_seen)
+    for step, ref_step in zip(calls, ref_calls):
+        assert (step, seen) == (ref_step, ref_seen)
+        assert (eng.now, eng.processed, eng.pending()) == (
+            ref.now, ref.processed, ref.pending())
+    assert eng.processed > 0
+
+
+class CoveredEngine(Engine):
+    """An Engine that counts the calendar's edge cases as they happen."""
+
+    __slots__ = ("cover", "times")
+
+    def __init__(self):
+        super().__init__()
+        self.cover = dict.fromkeys(("tie", "into open", "far ahead",
+                                    "limit inside", "before open"), 0)
+        self.times = set()
+
+    def schedule(self, time, fn, *args):
+        slot, cover = time >> SLOT_BITS, self.cover
+        cover["tie"] += time in self.times
+        cover["into open"] += slot == self._open_slot
+        cover["far ahead"] += slot >= (self.now >> SLOT_BITS) + 8
+        cover["before open"] += slot < self._open_slot
+        self.times.add(time)
+        super().schedule(time, fn, *args)
+
+    def run_until(self, limit):
+        count = super().run_until(limit)
+        self.cover["limit inside"] += (self._open_slot == limit >> SLOT_BITS
+                                       and self.pending() > 0)
+        return count
+
+
+def test_programs_cover_the_calendar_edges():
+    # The programs above hold same-instant ties, handlers that schedule into
+    # the open bucket, times many slots ahead, run_until limits inside a
+    # bucket, and schedules after a stop at a time before the open slot.
+    total = {}
+    for seed in range(40):
+        eng = CoveredEngine()
+        for _ in run_program(seed, eng, []):
+            pass
+        for key, n in eng.cover.items():
+            total[key] = total.get(key, 0) + n
+    assert all(total.values()), total
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason=(

@@ -12,8 +12,8 @@ from hcccsim.simulation import (AWAIT_CTS, BACKOFF, PENDING, Simulation,
                                 run_scenario)
 
 from conftest import (contention_topology, hidden_terminal_topology,
-                      inject_packet, make_topology, small_cfg,
-                      two_node_topology)
+                      inject_packet, make_topology, queued_events,
+                      small_cfg, two_node_topology)
 from test_mac_audit import audit
 
 
@@ -190,7 +190,7 @@ def test_carrier_sense_boundary():
         if senses:
             # Deferred to one DIFS after the frame's end.
             assert (10 + sim.difs, node.epoch) in [
-                (t, args[1]) for t, _, fn, args in sim.engine._queue
+                (t, args[1]) for t, _, fn, args in queued_events(sim.engine)
                 if fn == sim._backoff_wake]
 
 
@@ -217,7 +217,7 @@ def test_defer_draws_the_jitter_as_uniform_int(monkeypatch, jitter, top_first):
     monkeypatch.setattr(RandomStream, "next_u64", next_u64)
     for base in range(100, 5100, 100):
         sim._defer(node, base)
-        (at, _, fn, args), = sim.engine._queue
+        (at, _, fn, args), = queued_events(sim.engine)
         sim.engine.clear()
         jitter_us = ref.uniform_int(0, jitter - 1) if jitter else 0
         assert (at, fn, args) == (base + jitter_us + sim.difs,

@@ -82,6 +82,21 @@ def test_per_node_buffer_conservation():
         assert node.admitted - node.removed == len(node.cc.buffer), node.id
 
 
+def test_only_carriers_hold_a_buffer_array():
+    # In the default field 27 of 100 nodes carry a source's traffic.  The
+    # other 73 never admit a packet, and each ends the run with the empty
+    # tuple as its buffer, no array.
+    sim = Simulation(validate(ScenarioConfig()))
+    result = sim.run()
+    others = [node for node in result.nodes if not sim.carrier[node.id]]
+    assert len(others) == 73
+    for node in others:
+        assert (node.cc.buffer, node.admitted) == ((), 0), node.id
+    for node in result.nodes:
+        if sim.carrier[node.id]:
+            assert isinstance(node.cc.buffer, array), node.id
+
+
 @pytest.mark.parametrize("scheme", ["hccc", "none", "aimd_e2e"])
 def test_run_invariants(scheme):
     assert invariant_errors(run_scenario(mid_cfg(scheme=scheme))) == []
