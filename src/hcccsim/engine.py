@@ -112,10 +112,10 @@ class Engine:
     Pending events wait in buckets, one per slot of 2**SLOT_BITS us, after
     Brown's calendar queue (CACM 31(10), 1988): a dict from slot number to
     an unsorted list, and a heap of the occupied slot numbers.  run_until
-    opens the earliest bucket, sorts it once and walks it; an event due no
-    later than the open bucket's slot is inserted into it in order, the
-    events the walk has passed included.  So dispatch order is exactly
-    (time, seq), as from one heap of every event.
+    opens the earliest bucket due by its limit, sorts it once and walks it;
+    an event due in the open bucket's slot is inserted into it in order.
+    The open slot is never past the clock's, so every other bucket is later.
+    Dispatch order is exactly (time, seq), as from one heap of every event.
     """
 
     __slots__ = ("now", "processed", "_seq", "_taken", "_open", "_open_slot",
@@ -139,15 +139,13 @@ class Engine:
             )
         self._seq = seq = self._seq + 1
         slot = time >> SLOT_BITS
-        if slot <= self._open_slot:
+        if slot == self._open_slot:
             insort(self._open, (time, seq, fn, args))
-            return
-        bucket = self._buckets.get(slot)
-        if bucket is None:
+        elif slot in self._buckets:
+            self._buckets[slot].append((time, seq, fn, args))
+        else:
             self._buckets[slot] = [(time, seq, fn, args)]
             heappush(self._slots, slot)
-        else:
-            bucket.append((time, seq, fn, args))
 
     def run_until(self, limit):
         """Process every event with time <= limit, then set the clock to limit
@@ -163,29 +161,23 @@ class Engine:
         # warms up on unconditional back-edges, and such a loop closes on a
         # conditional one.
         while True:
-            if self._open_slot >= last:
-                # The limit falls in the open bucket or before it.
-                for time, _, fn, args in walk:
-                    if time > limit:
-                        # Left at the bucket's head, so its order is kept.
-                        done = len(bucket) - walk.__length_hint__() - 1
-                        break
-                    self.now = time
-                    fn(*args)
-                else:
-                    done = len(bucket)
-                break
             for time, _, fn, args in walk:
+                if time > limit:
+                    # Left at the bucket's head, so its order is kept.
+                    done = len(bucket) - walk.__length_hint__() - 1
+                    break
                 self.now = time
                 fn(*args)
-            if not slots:
+            else:
                 done = len(bucket)
-                break
-            self._taken += len(bucket)
-            self._open_slot = slot = heappop(slots)
-            bucket = self._open = buckets.pop(slot)
-            bucket.sort()
-            walk = self._walk = iter(bucket)
+                if slots and slots[0] <= last:
+                    self._taken += done
+                    self._open_slot = slot = heappop(slots)
+                    bucket = self._open = buckets.pop(slot)
+                    bucket.sort()
+                    walk = self._walk = iter(bucket)
+                    continue
+            break
         # An exhausted iterator sees no later insertion: start a new one.
         del bucket[:done]
         self._taken += done

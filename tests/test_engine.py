@@ -200,34 +200,40 @@ def test_dispatch_order_matches_one_heap(seed):
 class CoveredEngine(Engine):
     """An Engine that counts the calendar's edge cases as they happen."""
 
-    __slots__ = ("cover", "times")
+    __slots__ = ("cover", "times", "running")
 
     def __init__(self):
         super().__init__()
-        self.cover = dict.fromkeys(("tie", "into open", "far ahead",
-                                    "limit inside", "before open"), 0)
+        self.cover = dict.fromkeys(("tie", "handler into open", "far ahead",
+                                    "limit inside", "after a stop, first"), 0)
         self.times = set()
+        self.running = False
 
     def schedule(self, time, fn, *args):
         slot, cover = time >> SLOT_BITS, self.cover
         cover["tie"] += time in self.times
-        cover["into open"] += slot == self._open_slot
+        cover["handler into open"] += self.running and slot == self._open_slot
         cover["far ahead"] += slot >= (self.now >> SLOT_BITS) + 8
-        cover["before open"] += slot < self._open_slot
+        # Due before every pending event, after run_until stopped in a bucket.
+        head = len(self._open) - self._walk.__length_hint__()
+        cover["after a stop, first"] += (not self.running
+                                         and head < len(self._open)
+                                         and time < self._open[head][0])
         self.times.add(time)
         super().schedule(time, fn, *args)
 
     def run_until(self, limit):
+        self.running = True
         count = super().run_until(limit)
-        self.cover["limit inside"] += (self._open_slot == limit >> SLOT_BITS
-                                       and self.pending() > 0)
+        self.running = False
+        self.cover["limit inside"] += self._walk.__length_hint__() > 0
         return count
 
 
 def test_programs_cover_the_calendar_edges():
     # The programs above hold same-instant ties, handlers that schedule into
     # the open bucket, times many slots ahead, run_until limits inside a
-    # bucket, and schedules after a stop at a time before the open slot.
+    # bucket, and schedules after such a stop due before the bucket's head.
     total = {}
     for seed in range(40):
         eng = CoveredEngine()
