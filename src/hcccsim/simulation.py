@@ -247,13 +247,13 @@ class Simulation:
 
         # Only carriers (see the module docstring) buffer, listen or are children.
         specs, next_hop = self.topology.nodes, self.topology.next_hop
+        source_ids = [s.id for s in specs
+                      if s.role == "source" and self.topology.reachable(s.id)]
         carrier = self.carrier = [False] * len(specs)
-        for spec in specs:
-            if spec.role == "source" and self.topology.reachable(spec.id):
-                i = spec.id
-                while i is not None and not carrier[i]:
-                    carrier[i] = True
-                    i = next_hop[i]
+        for i in source_ids:
+            while i is not None and not carrier[i]:
+                carrier[i] = True
+                i = next_hop[i]
         nominal_service, w_max = float(self.data_air + self.slot), float(cfg.w_max)
         nodes = []
         for spec in specs:
@@ -265,8 +265,7 @@ class Simulation:
                                  carrier[spec.id])
             nodes.append(Node(spec, initial_nj, cc, w_max))
         self.nodes = nodes
-        self.sources = [n for n in nodes if n.role == "source"
-                        and self.topology.reachable(n.id)]
+        self.sources = [nodes[i] for i in source_ids]
         self.listeners = [None] * len(nodes)   # made at each sender's first frame
         self.children = {}
         for node in nodes:
