@@ -31,9 +31,17 @@ leaving out docstrings, comments and blank lines.  Two fields per workload
 say whether the sides did the same work: ``same_digest`` (each side has one
 digest, and they are equal) and ``counts_differ`` (the per-layer names
 whose values differ, leaving out host times in s and
-``trace.overhead_frac``); both are printed at the end.  The script gates
-and bounds nothing: a digest or count that differs is recorded, and
-``bench/run.py`` with ``BENCHMARK.json`` keeps the bounds.
+``trace.overhead_frac``); both are printed at the end.  A third, the work
+record, says whether they executed the same code: per side, one run of
+``WORK_FRACTION`` of the workload's simulated duration, in a fresh
+interpreter, counts the bytecode instructions executed inside
+``Simulation.run`` (``sys.settrace`` with ``f_trace_opcodes``) and the
+Python function calls (``sys.setprofile``), per event, in all and per
+function (``file:qualname``); ``work_differs`` is true when a total
+differs between the sides, and ``work_functions_differ`` names the
+functions whose counts differ.  The script gates and bounds nothing: a
+digest or count that differs is recorded, and ``bench/run.py`` with
+``BENCHMARK.json`` keeps the bounds.
 """
 
 import argparse
@@ -57,6 +65,46 @@ import tokenize
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "change")
 CACHED_RUNS = 3     # measured runs per side with bytecode cached
+WORK_FRACTION = 0.25    # of a workload's simulated duration, for the work record
+
+# Run in a side's checkout: argv is workload, seed, fraction of the duration.
+WORK_SCRIPT = r"""
+import collections, dataclasses, json, os, sys
+sys.path.insert(0, "bench")
+import pipeline
+from hcccsim.config import validate
+cfg = pipeline.workload_config(pipeline.WORKLOADS[sys.argv[1]], int(sys.argv[2]), False)
+cfg = validate(dataclasses.replace(cfg, duration=cfg.duration * float(sys.argv[3])))
+sim = pipeline.build_simulation(cfg)
+opcodes = collections.Counter()     # per code object
+calls = collections.Counter()
+def trace(frame, event, arg):
+    frame.f_trace_lines = False
+    frame.f_trace_opcodes = True
+    code = frame.f_code
+    def count_opcode(frame, event, arg):
+        if event == "opcode":
+            opcodes[code] += 1
+        return count_opcode
+    return count_opcode
+def count_call(frame, event, arg):
+    if event == "call":
+        calls[frame.f_code] += 1
+sys.setprofile(count_call)
+sys.settrace(trace)
+result = sim.run()
+sys.settrace(None)
+sys.setprofile(None)
+functions = collections.defaultdict(lambda: [0, 0])
+for i, counter in enumerate((opcodes, calls)):
+    for code, n in counter.items():
+        name = "%s:%s" % (os.path.basename(code.co_filename),
+                          getattr(code, "co_qualname", code.co_name))
+        functions[name][i] += n
+print(json.dumps({"duration_s": cfg.duration, "events": result.events_processed,
+                  "opcodes": sum(opcodes.values()), "calls": sum(calls.values()),
+                  "functions": dict(sorted(functions.items()))}))
+"""
 
 
 def git(*args):
@@ -124,6 +172,25 @@ def run_bench(root, workload, seed, seconds, trace, env=None):
                          % (" ".join(cmd), proc.returncode, stderr[-2000:]))
     found = re.search(r"digest sha256=([0-9a-f]+)", stdout)
     return result, found.group(1) if found else None
+
+
+def work_counts(root, workload, seed, fraction=WORK_FRACTION):
+    """Bytecode instructions and Python calls executed inside one
+    ``Simulation.run`` of a checkout, in all and per event.  The run lasts
+    ``fraction`` of the workload's simulated duration, in a fresh
+    interpreter that writes no bytecode and hashes strings with seed 0."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
+    proc = subprocess.run([sys.executable, "-c", WORK_SCRIPT, workload,
+                           str(seed), repr(fraction)], cwd=root, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit("bench_pair: work count of %s in %s failed:\n%s"
+                         % (workload, root, proc.stderr[-2000:]))
+    work = json.loads(proc.stdout.splitlines()[-1])
+    events = work["events"]
+    work["opcodes_per_event"] = work["opcodes"] / events if events else None
+    work["calls_per_event"] = work["calls"] / events if events else None
+    return work
 
 
 def kill_group(proc):
@@ -216,6 +283,7 @@ def measure(roots, workload, args, better):
     traced = {side: run_bench(roots[side], workload, args.seed, args.seconds, 1)
               for side in SIDES}
     cached = cached_rss(roots, workload, args)
+    work = {side: work_counts(roots[side], workload, args.seed) for side in SIDES}
     digests = {side: sorted({p[side]["digest"] for p in pairs}
                             | {traced[side][1]}, key=str)
                for side in SIDES}
@@ -233,6 +301,14 @@ def measure(roots, workload, args, better):
                              in traced[side][0]["metrics"].items()}
                       for side in SIDES},
         "peak_rss_mb_cached": cached,
+        "work": work,
+        "work_differs": any(work["base"][k] != work["change"][k]
+                            for k in ("events", "opcodes", "calls")),
+        "work_functions_differ": sorted(
+            name for name in set(work["base"]["functions"])
+            | set(work["change"]["functions"])
+            if work["base"]["functions"].get(name)
+            != work["change"]["functions"].get(name)),
         "pairs": pairs,
     }
 
@@ -327,6 +403,15 @@ def main(argv=None):
             workload, w["correct"]["base"], w["correct"]["change"]))
         print("%s same_digest: %s, counts_differ: %s" % (
             workload, w["same_digest"], ", ".join(w["counts_differ"]) or "none"))
+        work = w["work"]
+        print("%s work over %g s simulated: opcodes/event base %.6g, change "
+              "%.6g; calls/event base %.6g, change %.6g; work_differs: %s" % (
+                  workload, work["change"]["duration_s"],
+                  *(work[side][key] for key in ("opcodes_per_event",
+                                                "calls_per_event")
+                    for side in SIDES), w["work_differs"]))
+        print("%s work_functions_differ: %s" % (
+            workload, ", ".join(w["work_functions_differ"]) or "none"))
     return 0
 
 

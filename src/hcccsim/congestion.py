@@ -47,8 +47,8 @@ class CongestionState:
     is True from the node's own congested signal (b_r > b_max) until its next
     relay.  ``buffer`` holds the buffered packets' ``PacketLog`` rows, head
     first, as machine ints in an ``array("i")``: 4 bytes a packet, where a
-    list of int objects costs 40.  Only a carrier admits packets; any other
-    node's buffer is the empty tuple, which holds no array.
+    list of int objects costs 40.  Only a carrier admits packets; every other
+    node shares the run's one inert state, whose buffer is the empty tuple.
     """
 
     __slots__ = (

@@ -94,8 +94,11 @@ each a 4-byte machine int and no int object, that only this module changes:
 ``_admit`` is the one way in (a drop-tail test against the capacity) and
 ``_dequeue`` the one way out (the head packet, sent or given up on).  Under
 HCCC the congestion layer observes each arrival before the drop-tail test
-and each sent packet just before its dequeue; it never moves a packet.  Any
-other node's buffer is the empty tuple: it never holds a packet.
+and each sent packet just before its dequeue; it never moves a packet.  All
+other nodes share the run's one inert ``CongestionState``: its buffer is the
+empty tuple, its R and R_max are r_cap, and no rule reads or writes it in a
+run.  So an unreachable source's R reads r_cap, as a relay's does; no output
+shows it.
 
 Energy is kept in integer nanojoules (``Node.energy_nj``), converted from
 the ``[energy]`` keys once, so the energy consumed is exactly each cost times
@@ -255,14 +258,16 @@ class Simulation:
                 carrier[i] = True
                 i = next_hop[i]
         nominal_service, w_max = float(self.data_air + self.slot), float(cfg.w_max)
+        inert = CongestionState(cfg.buffer_capacity, nominal_service, cfg.r_cap,
+                                 carrier=False)
+        r_source = min(max(cfg.offered_load, cfg.r_min), cfg.r_cap)
         nodes = []
         for spec in specs:
-            if spec.role == "source":
-                r_init = min(max(cfg.offered_load, cfg.r_min), cfg.r_cap)
+            if carrier[spec.id]:
+                cc = CongestionState(cfg.buffer_capacity, nominal_service,
+                                     r_source if spec.role == "source" else cfg.r_cap)
             else:
-                r_init = cfg.r_cap
-            cc = CongestionState(cfg.buffer_capacity, nominal_service, r_init,
-                                 carrier[spec.id])
+                cc = inert
             nodes.append(Node(spec, initial_nj, cc, w_max))
         self.nodes = nodes
         self.sources = [nodes[i] for i in source_ids]

@@ -13,13 +13,19 @@ surrounding cells rather than with every other node; coordinates are read
 from two flat lists built once.  The grid changes the search, not the test:
 the edges and the ascending order of every neighbor list are those of a scan
 over all pairs, and the simulation iterates the lists in that order.
-Adjacency is indexed by position in the node list.  A ``NodeSpec`` has
-slots and no ``__dict__``: the largest field places 1,600 of them.
+Adjacency is indexed by position in the node list.  A ``Topology`` keeps the
+lists as ``NeighbourRows``: every row in one flat ``array("i")`` of
+neighbour ids, 4 bytes an entry, plus one array of row starts, where a list
+of lists takes an 8-byte slot an entry and a list object a node.  A
+``NodeSpec`` has slots and no ``__dict__``: the largest field places 1,600
+of them.
 """
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 class TopologyError(Exception):
@@ -34,12 +40,43 @@ class NodeSpec:
     role: str  # "sink" | "source" | "relay"
 
 
+class NeighbourRows:
+    """Neighbour lists in compressed sparse row form: row i is
+    ``ids[starts[i]:starts[i + 1]]``.  ``len``, indexing and iteration read
+    like the list of lists it was built from; each row reads back as a new
+    list."""
+
+    __slots__ = ("ids", "starts")
+
+    def __init__(self, rows):
+        ids = self.ids = array("i")
+        for row in rows:
+            ids.fromlist(row)
+        self.starts = array("i", list(accumulate(map(len, rows), initial=0)))
+
+    def __len__(self):
+        return len(self.starts) - 1
+
+    def __getitem__(self, i):
+        # i in range(len(self)): a negative index is not supported.
+        starts = self.starts
+        return self.ids[starts[i]:starts[i + 1]].tolist()
+
+    def __iter__(self):
+        ids, starts = self.ids.tolist(), self.starts
+        for i in range(len(starts) - 1):
+            yield ids[starts[i]:starts[i + 1]]
+
+
 class Topology:
-    """Immutable after construction; node 0 is the sink by convention."""
+    """Immutable after construction; node 0 is the sink by convention.
+
+    ``adjacency`` takes the lists ``build_adjacency`` returns and holds them
+    as ``NeighbourRows``."""
 
     def __init__(self, nodes, adjacency, next_hop, hop_count):
         self.nodes = nodes
-        self.adjacency = adjacency
+        self.adjacency = NeighbourRows(adjacency)
         self.next_hop = next_hop
         self.hop_count = hop_count
 
@@ -74,18 +111,11 @@ def place_random(n, side, source_count, stream):
         raise TopologyError("source_count %d out of range [1, %d]" % (source_count, n - 1))
     if side <= 0:
         raise TopologyError("region side must be positive")
-    nodes = []
-    for i in range(n):
-        x = side * stream.random()
-        y = side * stream.random()
-        if i == 0:
-            role = "sink"
-        elif i <= source_count:
-            role = "source"
-        else:
-            role = "relay"
-        nodes.append(NodeSpec(id=i, x=x, y=y, role=role))
-    return nodes
+    random = stream.random
+    roles = ["sink"] + ["source"] * source_count + ["relay"] * (n - 1 - source_count)
+    # x is drawn before y: arguments are evaluated left to right.
+    return [NodeSpec(i, side * random(), side * random(), role)
+            for i, role in enumerate(roles)]
 
 
 def build_adjacency(nodes, radius):

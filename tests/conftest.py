@@ -33,6 +33,12 @@ def hidden_terminal_topology():
                          ["sink", "source", "source"])
 
 
+def unreachable_source_topology():
+    """Source 1 adjacent to sink 0; source 2 has no neighbour, so no route."""
+    return make_topology([(0.0, 0.0), (10.0, 0.0), (200.0, 0.0)],
+                         ["sink", "source", "source"])
+
+
 def small_cfg(**overrides):
     base = dict(node_count=3, source_count=2, duration=2.0, warmup=0.0,
                 scheme="none", offered_load=0.0, access_jitter_us=0,

@@ -14,15 +14,16 @@ import pytest
 
 from hcccsim import congestion
 from hcccsim.config import ScenarioConfig, validate
+from hcccsim.congestion import CongestionState
 from hcccsim.engine import RandomStream
-from hcccsim.mac import ACK, DATA, RTS
+from hcccsim.mac import ACK, DATA, RTS, MacTiming
 from hcccsim.metrics import build_report, summary_row
 from hcccsim.simulation import PENDING, Simulation, run_scenario
 from hcccsim.traffic import (DELIVERED, BUFFER_OVERFLOW, MAC_RETRY_EXHAUSTED,
                              IN_FLIGHT, PacketLog)
 
 from conftest import (inject_packet, invariant_errors, make_topology, small_cfg,
-                      two_node_topology)
+                      two_node_topology, unreachable_source_topology)
 from test_channel_audit import short_run
 from test_golden import SCENARIOS, golden_run
 
@@ -95,6 +96,37 @@ def test_only_carriers_hold_a_buffer_array():
     for node in result.nodes:
         if sim.carrier[node.id]:
             assert isinstance(node.cc.buffer, array), node.id
+
+
+def inert_runs():
+    """(Simulation, config) after a default-field run under each scheme, and
+    after an HCCC run with a source that has no route to the sink."""
+    for scheme in ("hccc", "none", "aimd_e2e"):
+        cfg = validate(ScenarioConfig(scheme=scheme, duration=60.0))
+        sim = Simulation(cfg)
+        sim.run()
+        yield sim, cfg
+    cfg = small_cfg(scheme="hccc", offered_load=5.0)
+    sim = Simulation(cfg, topology=unreachable_source_topology())
+    sim.run()
+    yield sim, cfg
+
+
+def test_non_carriers_share_one_inert_congestion_state():
+    # Every node that carries no source's traffic holds the same inert
+    # state, untouched by the run: what a fresh one holds, with R = r_cap.
+    for sim, cfg in inert_runs():
+        timing = MacTiming(cfg)
+        fresh = CongestionState(cfg.buffer_capacity,
+                                float(timing.data_air + timing.slot),
+                                cfg.r_cap, False)
+        others = [n for n in sim.nodes if not sim.carrier[n.id]]
+        carriers = [n for n in sim.nodes if sim.carrier[n.id]]
+        assert others and carriers
+        assert len({id(n.cc) for n in others}) == 1
+        assert ({name: getattr(others[0].cc, name) for name in CongestionState.__slots__}
+                == {name: getattr(fresh, name) for name in CongestionState.__slots__})
+        assert len({id(n.cc) for n in carriers}) == len(carriers)
 
 
 @pytest.mark.parametrize("scheme", ["hccc", "none", "aimd_e2e"])

@@ -2,16 +2,17 @@
 
 import hashlib
 import random
+import sys
 
 import networkx as nx
 import pytest
 
 from hcccsim.config import ScenarioConfig, validate
 from hcccsim.engine import RandomStream
-from hcccsim.topology import (NodeSpec, TopologyError, build_adjacency,
+from hcccsim.topology import (NodeSpec, Topology, TopologyError, build_adjacency,
                               build_topology, compute_routes, place_random)
 
-from conftest import make_topology
+from conftest import make_topology, unreachable_source_topology
 
 
 def test_place_random_bounds_and_roles():
@@ -145,7 +146,8 @@ def test_adjacency_sparse_field_with_empty_cells():
 
 
 # The aimd_lossy_large benchmark field: build_topology at placement seed 1.
-# Digests of repr(adjacency) and repr((next_hop, hop_count)).
+# Digests of repr(list(adjacency)), which reads as the neighbour lists did
+# before they were held in flat arrays, and repr((next_hop, hop_count)).
 LARGE_FIELD_ADJACENCY_SHA256 = (
     "518921cda3c760d492325d469d83aa0ba3f1ee828e355a1e59fda638b9565d89")
 LARGE_FIELD_ROUTES_SHA256 = (
@@ -157,10 +159,77 @@ def test_large_field_adjacency_and_routes_pinned():
                                   radius=30.0, source_count=320))
     topo = build_topology(cfg, RandomStream(1, 0))
     assert sum(len(neigh) for neigh in topo.adjacency) == 2 * 21380
-    assert (hashlib.sha256(repr(topo.adjacency).encode()).hexdigest()
+    assert (hashlib.sha256(repr(list(topo.adjacency)).encode()).hexdigest()
             == LARGE_FIELD_ADJACENCY_SHA256)
     assert (hashlib.sha256(repr((topo.next_hop, topo.hop_count)).encode())
             .hexdigest() == LARGE_FIELD_ROUTES_SHA256)
+
+
+# Topology.write_csv of the default field and of the aimd_lossy_large field,
+# both placed with RandomStream(1, 0).
+DEFAULT_FIELD_CSV_SHA256 = (
+    "c2607f1733fa0b4cba5fd488f56b8d5587af1946b07eb1a1964648e96a78f706")
+LARGE_FIELD_CSV_SHA256 = (
+    "242522b2cefded5a8bbe24845d0f84bd193fde001eb21bdf5285baecc7ff3cee")
+
+
+@pytest.mark.parametrize("overrides, expected", [
+    ({}, DEFAULT_FIELD_CSV_SHA256),
+    (dict(node_count=1600, area_side=400.0, radius=30.0, source_count=320),
+     LARGE_FIELD_CSV_SHA256),
+])
+def test_topology_csv_pinned(tmp_path, overrides, expected):
+    topo = build_topology(validate(ScenarioConfig(**overrides)), RandomStream(1, 0))
+    path = tmp_path / "topology.csv"
+    topo.write_csv(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
+
+def held_bytes(obj):
+    """sys.getsizeof of obj and of every object it holds: the items of a
+    list or tuple and the values of its slots."""
+    size = sys.getsizeof(obj)
+    if isinstance(obj, (list, tuple)):
+        return size + sum(held_bytes(item) for item in obj)
+    return size + sum(held_bytes(getattr(obj, name))
+                      for name in getattr(type(obj), "__slots__", ()))
+
+
+def neighbour_fields():
+    """(nodes, radius) of the default field, the aimd_lossy_large field and
+    40 seeded random fields of 2-400 nodes, some sparse enough to leave
+    nodes with no neighbour."""
+    for overrides in ({}, dict(node_count=1600, area_side=400.0, source_count=320)):
+        cfg = validate(ScenarioConfig(**overrides))
+        yield (place_random(cfg.node_count, cfg.area_side, cfg.source_count,
+                            RandomStream(1, 0)), cfg.radius)
+    rng = random.Random(20261021)
+    for seed in range(40):
+        n = rng.randint(2, 400)
+        side = rng.uniform(10.0, 400.0)
+        yield (place_random(n, side, 1, RandomStream(seed, 0)),
+               side * rng.uniform(0.01, 0.5))
+
+
+def test_neighbour_rows_read_back_as_the_lists():
+    for nodes, radius in neighbour_fields():
+        rows = build_adjacency(nodes, radius)
+        store = Topology(nodes, rows, *compute_routes(rows)).adjacency
+        assert len(store) == len(nodes)
+        assert list(store) == rows
+        assert [store[i] for i in range(len(nodes))] == rows
+        # 4 B an entry and a row start, the 1/16 spare that an array grown
+        # by appends may hold, and a fixed overhead.  A list of lists takes
+        # an 8 B slot an entry and a list object a node.
+        entries = sum(map(len, rows))
+        bound = 4 * entries + 4 * len(nodes) + entries // 4 + 256
+        assert held_bytes(store) <= bound, (len(nodes), entries)
+
+
+def test_isolated_node_row_is_empty():
+    topo = unreachable_source_topology()
+    assert list(topo.adjacency) == [[1], [0], []]
+    assert topo.adjacency[2] == [] and topo.hop_count[2] is None
 
 
 def test_routes_line_topology():
