@@ -187,9 +187,9 @@ def work_counts(root, workload, seed, fraction=WORK_FRACTION):
         raise SystemExit("bench_pair: work count of %s in %s failed:\n%s"
                          % (workload, root, proc.stderr[-2000:]))
     work = json.loads(proc.stdout.splitlines()[-1])
-    events = work["events"]
-    work["opcodes_per_event"] = work["opcodes"] / events if events else None
-    work["calls_per_event"] = work["calls"] / events if events else None
+    # A run has at least one event: the first sample at t = 0.
+    work["opcodes_per_event"] = work["opcodes"] / work["events"]
+    work["calls_per_event"] = work["calls"] / work["events"]
     return work
 
 

@@ -24,7 +24,6 @@ def test_work_count_is_one_number_across_runs():
     assert first == second
     assert first["duration_s"] == 3.0
     assert first["opcodes"] > first["calls"] > first["events"] > 0
-    assert first["opcodes_per_event"] == first["opcodes"] / first["events"]
     functions = first["functions"]
     # Python 3.10 names a function without its class.
     assert [calls for name, (_, calls) in functions.items()
