@@ -37,9 +37,12 @@ record, says whether they executed the same code: per side, one run of
 interpreter, counts the bytecode instructions executed inside
 ``Simulation.run`` (``sys.settrace`` with ``f_trace_opcodes``) and the
 Python function calls (``sys.setprofile``), per event, in all and per
-function (``file:qualname``); ``work_differs`` is true when a total
-differs between the sides, and ``work_functions_differ`` names the
-functions whose counts differ.  The script gates and bounds nothing: a
+function (``file:qualname``), and the calls of C functions (``c_call``
+events) in all and per name (``module.qualname``, or the qualname of a
+method, such as ``list.append``); ``work_differs`` is true when a total
+of the Python work differs between the sides, ``work_functions_differ``
+names the functions whose counts differ, and ``c_calls_differ`` is true
+when a C function's count differs.  The script gates and bounds nothing: a
 digest or count that differs is recorded, and ``bench/run.py`` with
 ``BENCHMARK.json`` keeps the bounds.
 """
@@ -78,6 +81,7 @@ cfg = validate(dataclasses.replace(cfg, duration=cfg.duration * float(sys.argv[3
 sim = pipeline.build_simulation(cfg)
 opcodes = collections.Counter()     # per code object
 calls = collections.Counter()
+c_calls = collections.Counter()     # per (module, qualname) of a C function
 def trace(frame, event, arg):
     frame.f_trace_lines = False
     frame.f_trace_opcodes = True
@@ -90,6 +94,8 @@ def trace(frame, event, arg):
 def count_call(frame, event, arg):
     if event == "call":
         calls[frame.f_code] += 1
+    elif event == "c_call":
+        c_calls[getattr(arg, "__module__", None), arg.__qualname__] += 1
 sys.setprofile(count_call)
 sys.settrace(trace)
 result = sim.run()
@@ -101,9 +107,13 @@ for i, counter in enumerate((opcodes, calls)):
         name = "%s:%s" % (os.path.basename(code.co_filename),
                           getattr(code, "co_qualname", code.co_name))
         functions[name][i] += n
+c_functions = {name if module is None else "%s.%s" % (module, name): n
+               for (module, name), n in c_calls.items()}
 print(json.dumps({"duration_s": cfg.duration, "events": result.events_processed,
                   "opcodes": sum(opcodes.values()), "calls": sum(calls.values()),
-                  "functions": dict(sorted(functions.items()))}))
+                  "c_calls": sum(c_calls.values()),
+                  "functions": dict(sorted(functions.items())),
+                  "c_functions": dict(sorted(c_functions.items()))}))
 """
 
 
@@ -175,7 +185,7 @@ def run_bench(root, workload, seed, seconds, trace, env=None):
 
 
 def work_counts(root, workload, seed, fraction=WORK_FRACTION):
-    """Bytecode instructions and Python calls executed inside one
+    """Bytecode instructions, Python calls and C calls executed inside one
     ``Simulation.run`` of a checkout, in all and per event.  The run lasts
     ``fraction`` of the workload's simulated duration, in a fresh
     interpreter that writes no bytecode and hashes strings with seed 0."""
@@ -190,6 +200,7 @@ def work_counts(root, workload, seed, fraction=WORK_FRACTION):
     # A run has at least one event: the first sample at t = 0.
     work["opcodes_per_event"] = work["opcodes"] / work["events"]
     work["calls_per_event"] = work["calls"] / work["events"]
+    work["c_calls_per_event"] = work["c_calls"] / work["events"]
     return work
 
 
@@ -309,6 +320,8 @@ def measure(roots, workload, args, better):
             | set(work["change"]["functions"])
             if work["base"]["functions"].get(name)
             != work["change"]["functions"].get(name)),
+        "c_calls_differ": (work["base"]["c_functions"]
+                           != work["change"]["c_functions"]),
         "pairs": pairs,
     }
 
@@ -412,6 +425,9 @@ def main(argv=None):
                     for side in SIDES), w["work_differs"]))
         print("%s work_functions_differ: %s" % (
             workload, ", ".join(w["work_functions_differ"]) or "none"))
+        print("%s C calls/event base %.6g, change %.6g; c_calls_differ: %s" % (
+            workload, *(work[side]["c_calls_per_event"] for side in SIDES),
+            w["c_calls_differ"]))
     return 0
 
 

@@ -119,6 +119,8 @@ def validate(cfg):
         if ftype is float:
             check(math.isfinite(getattr(cfg, field)), field, "must be finite")
     check(cfg.node_count >= 2, "node_count", "must be >= 2")
+    check(cfg.node_count <= 65_535, "node_count", "must be <= 65535: the "
+          "packet log keeps node ids and hop counts as 16-bit unsigned ints")
     check(cfg.area_side > 0, "area_side", "must be positive")
     check(cfg.radius > 0, "radius", "must be positive")
     check(1 <= cfg.source_count <= cfg.node_count - 1, "source_count",
@@ -127,6 +129,8 @@ def validate(cfg):
           "must be 0 or >= %g" % MIN_RATE)
     check(cfg.buffer_capacity >= 1, "buffer_capacity", "must be >= 1")
     check(cfg.duration >= 0, "duration", "must be non-negative")
+    check(round(cfg.duration * 1e6) <= 2 ** 31 - 1, "duration", "must be "
+          "<= 2147.483647 s: the packet log keeps times as 32-bit signed us")
     check(cfg.warmup >= 0, "warmup", "must be non-negative")
     # The random streams use the seed modulo 2**64.
     check(0 <= cfg.seed < 2 ** 64, "seed", "must be in [0, 2**64)")

@@ -1,10 +1,9 @@
 """Traffic bookkeeping and the end-to-end AIMD baseline.
 
 Every generated packet is one row of a ``PacketLog``: a fixed-width column
-per field, about 30 bytes a packet.  The row number is the packet: node
-buffers hold it as a 4-byte machine int, in an ``array("i")`` like the
-origin, seq and hops columns, DATA frames carry it, and no other packet
-object exists.
+per field, 17 bytes a packet.  The row number is the packet: node buffers
+hold it as a 4-byte machine int, in an ``array("i")`` like the seq column,
+DATA frames carry it, and no other packet object exists.
 """
 
 from array import array
@@ -36,6 +35,10 @@ class PacketLog:
 
     The packet id is the row number.  ``outcome`` holds indices into
     OUTCOMES and ``end_us`` holds NO_END while the packet is in flight.
+    Times are signed 32-bit microseconds and origin and hops unsigned
+    16-bit: ``config.validate`` bounds the duration and the node count so
+    that every value fits, and a hop count stays below the node count
+    because routes form a tree.
     Indexing and iteration build PacketRow tuples on demand, with end_us
     None for a packet in flight.
     """
@@ -43,12 +46,12 @@ class PacketLog:
     __slots__ = ("origin", "seq", "created_us", "outcome", "end_us", "hops")
 
     def __init__(self):
-        self.origin = array("i")
+        self.origin = array("H")
         self.seq = array("i")
-        self.created_us = array("q")
+        self.created_us = array("i")
         self.outcome = bytearray()
-        self.end_us = array("q")
-        self.hops = array("i")
+        self.end_us = array("i")
+        self.hops = array("H")
 
     def add(self, origin, seq, created_us):
         """Append an in-flight packet; returns its id."""

@@ -172,16 +172,40 @@ def test_values_below_one_unit_are_rejected(field, bound):
 
 def test_more_windows_than_the_series_may_hold_are_rejected():
     # One series row per window: at 1 us, a 0.5 s run would build 500,000.
+    # The 20 ms windows take the bound to a duration the packet log allows.
     assert validate(ScenarioConfig(duration=0.1, window=1e-6)).window == 1e-6
-    assert validate(ScenarioConfig(duration=1e6, window=10.0)).window == 10.0
+    assert validate(ScenarioConfig(duration=2000.0, window=0.02)).window == 0.02
     for overrides in (dict(duration=0.5, window=1e-6),
                       dict(duration=0.100001, window=1e-6),
-                      dict(duration=1e6 + 10.0, window=10.0),
+                      dict(duration=2000.02, window=0.02),
                       # 1.4 us rounds to the 1 us window the run would keep.
                       dict(duration=0.14, window=1.4e-6)):
         with pytest.raises(ConfigError) as err:
             validate(ScenarioConfig(**overrides))
         assert "window" in str(err.value) and "duration" in str(err.value)
+
+
+# The packet log keeps times as signed 32-bit us and node ids and hop counts
+# as unsigned 16-bit ints: the last value each field may take.
+LOG_WIDTH_BOUNDS = {"duration": (2147.483647, 2147.483648),
+                    "node_count": (65_535, 65_536)}
+
+
+@pytest.mark.parametrize("field", LOG_WIDTH_BOUNDS)
+def test_packet_log_widths_bound_duration_and_node_count(field):
+    at, past = LOG_WIDTH_BOUNDS[field]
+    assert getattr(validate(ScenarioConfig(**{field: at})), field) == at
+    with pytest.raises(ConfigError) as err:
+        validate(ScenarioConfig(**{field: past}))
+    assert str(err.value).startswith(field + ":")
+
+
+@pytest.mark.parametrize("field", LOG_WIDTH_BOUNDS)
+def test_cli_validate_past_a_packet_log_width_exit_2(tmp_path, capsys, field):
+    path = tmp_path / "wide.conf"
+    path.write_text("[scenario]\n%s = %r\n" % (field, LOG_WIDTH_BOUNDS[field][1]))
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert field in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scheme", ["none", "hccc", "aimd_e2e"])

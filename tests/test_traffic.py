@@ -3,6 +3,7 @@
 import pytest
 
 from hcccsim.mac import RTS, CTS, DATA, ACK, Frame
+from hcccsim.metrics import write_packets_csv
 from hcccsim.simulation import Simulation
 from hcccsim.traffic import (AimdSource, PacketLog, joules_to_nj, DELIVERED,
                              IN_FLIGHT)
@@ -64,6 +65,30 @@ def test_packet_record_single_terminal_outcome():
     assert rec.outcome == DELIVERED
     assert rec.end_us == 5000
     assert rec.hops == 3
+
+
+def test_packet_log_holds_the_largest_values_validate_allows(tmp_path):
+    # The last microsecond of the longest run (2**31 - 1 us) and the largest
+    # node id and hop count of the largest field (65,535 nodes) read back
+    # unchanged; an in-flight row still reads end_us None and an empty field.
+    last_us, last_node = 2 ** 31 - 1, 65_534
+    log = PacketLog()
+    done = log.add(last_node, 7, last_us)
+    log.hops[done] = last_node
+    assert log.finish(done, DELIVERED, last_us)
+    flying = log.add(last_node, 8, last_us)
+    assert log[done] == (done, last_node, 7, last_us, DELIVERED, last_us,
+                         last_node)
+    assert log[flying] == (flying, last_node, 8, last_us, IN_FLIGHT, None, 0)
+    path = tmp_path / "packets.csv"
+    write_packets_csv(path, log)
+    assert path.read_text().splitlines()[1:] == [
+        "0,65534,7,2147483647,delivered,2147483647,65534",
+        "1,65534,8,2147483647,in_flight,,0"]
+    # A node id past the width is an error, not a wrapped value.
+    with pytest.raises(OverflowError):
+        log.add(2 ** 16, 9, 0)
+    assert len(log) == 2
 
 
 def test_aimd_halving():

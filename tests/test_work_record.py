@@ -1,5 +1,5 @@
-"""The work record of ``scripts/bench_pair.py``: the bytecode instructions
-and Python calls one ``Simulation.run`` executes."""
+"""The work record of ``scripts/bench_pair.py``: the bytecode instructions,
+Python calls and C calls one ``Simulation.run`` executes."""
 
 import importlib.util
 from pathlib import Path
@@ -30,3 +30,9 @@ def test_work_count_is_one_number_across_runs():
             if name.endswith("run_until")] == [1]
     assert [sum(counts) for counts in zip(*functions.values())] == [
         first["opcodes"], first["calls"]]
+    # The C calls are counted by name, the event queue's among them, and
+    # two runs count the same calls of each.
+    c_functions = first["c_functions"]
+    assert c_functions == second["c_functions"]
+    assert sum(c_functions.values()) == first["c_calls"] > 0
+    assert {"_heapq.heappush", "_heapq.heappop", "list.sort"} <= set(c_functions)
