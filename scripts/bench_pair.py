@@ -91,10 +91,11 @@ def trace(frame, event, arg):
             opcodes[code] += 1
         return count_opcode
     return count_opcode
+top = sys._getframe()    # its C calls set and clear the hooks
 def count_call(frame, event, arg):
     if event == "call":
         calls[frame.f_code] += 1
-    elif event == "c_call":
+    elif event == "c_call" and frame is not top:
         c_calls[getattr(arg, "__module__", None), arg.__qualname__] += 1
 sys.setprofile(count_call)
 sys.settrace(trace)
